@@ -10,8 +10,6 @@
 //	benchjson -hotpath -quick -o -    # CI smoke: small trace, stdout
 //	benchjson -intervals              # representative intervals -> BENCH_intervals.json
 //	benchjson -intervals -quick -o -  # CI smoke: one small workload, stdout
-//	benchjson -uarch                  # event-engine scaling -> BENCH_uarch.json
-//	benchjson -uarch -quick -o -      # CI smoke: short runs, stdout
 //
 // The memo caches are cleared before every timed run, so both columns
 // measure cold, full work; the speedup column is serial/parallel. With
@@ -60,22 +58,10 @@ func main() {
 		jobs    = flag.Int("jobs", 0, "parallel column's worker count (0 = NumCPU)")
 		hotpath = flag.Bool("hotpath", false, "measure the per-access hot path instead of the experiment grid")
 		intvls  = flag.Bool("intervals", false, "measure representative-interval selection vs full-trace simulation")
-		uarchF  = flag.Bool("uarch", false, "measure the event-driven multi-core engine vs the legacy core loop")
-		quick   = flag.Bool("quick", false, "with -hotpath/-intervals/-uarch: small traces and short budgets (CI smoke)")
+		quick   = flag.Bool("quick", false, "with -hotpath/-intervals: small traces and short budgets (CI smoke)")
 	)
 	flag.Parse()
 
-	if *uarchF {
-		path := *out
-		if path == "" {
-			path = "BENCH_uarch.json"
-		}
-		if err := runUarch(*quick, path); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *intvls {
 		path := *out
 		if path == "" {

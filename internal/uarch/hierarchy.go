@@ -96,8 +96,7 @@ type Hierarchy struct {
 
 	observer LLCObserver
 	stats    LLCStats
-	// DemandMissLatency accumulates the total latency of demand LLC
-	// traffic, for the memory-boundedness diagnostics.
+	// wbToDRAM counts dirty LLC victims written back to DRAM.
 	wbToDRAM uint64
 }
 

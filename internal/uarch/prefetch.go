@@ -227,13 +227,9 @@ func (p *KPCP) FillL2(addr uint64) bool {
 	return p.issued[addr>>6] >= kpcL2Threshold
 }
 
-// newPrefetcher builds the configured L2 prefetcher.
-// NewPrefetcher builds the prefetcher named by Config.L2Prefetcher. It
+// newPrefetcher builds the prefetcher named by Config.L2Prefetcher. It
 // panics on an unknown kind ("", "none", "ip-stride", and "kpc-p" are
-// valid). The event-engine components share the legacy model's
-// prefetchers through this factory.
-func NewPrefetcher(kind string) Prefetcher { return newPrefetcher(kind) }
-
+// valid).
 func newPrefetcher(kind string) Prefetcher {
 	switch kind {
 	case "", "none":

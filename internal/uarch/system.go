@@ -180,56 +180,51 @@ func (s *System) RunSingle(src InstrSource, warmup, measure uint64) Result {
 	}
 }
 
-// RunMulti drives all cores, each from its own source, interleaved by
-// simulated time (the core furthest behind executes next), for
-// warmup+measure instructions per core. Results are per core; LLCStats and
-// DemandMPKI in each entry cover the whole measurement window across cores.
+// RunMulti drives all cores, each from its own source, for warmup+measure
+// instructions per core, interleaved one instruction at a time: the next
+// core to step is the one with the smallest (local time, last-stepped)
+// pair, where last-stepped orders cores by when they last executed and
+// starts each phase in core-index order. Equal local times therefore go
+// round-robin, and the LLC sees the cores' access streams merged in time
+// order. Results are per core; LLCStats and DemandMPKI in each entry cover
+// the whole measurement window across cores.
 func (s *System) RunMulti(srcs []InstrSource, warmup, measure uint64) []Result {
 	if len(srcs) != len(s.cores) {
 		panic("uarch: RunMulti needs one source per core")
 	}
 	n := len(s.cores)
 	remaining := make([]uint64, n)
-	for i := range remaining {
-		remaining[i] = warmup
-	}
-	runPhase := func() {
-		for {
-			// Advance the core with the smallest local time that still has
-			// work; this merges the LLC access streams in rough time order.
-			best, bestTime := -1, uint64(0)
+	stepped := make([]uint64, n)
+	runPhase := func(count uint64) {
+		for i := range remaining {
+			remaining[i], stepped[i] = count, uint64(i)
+		}
+		for seq := uint64(n); ; seq++ {
+			best := -1
 			for i, c := range s.cores {
 				if remaining[i] == 0 {
 					continue
 				}
-				if best == -1 || c.now() < bestTime {
-					best, bestTime = i, c.now()
+				if best == -1 || c.now() < s.cores[best].now() ||
+					c.now() == s.cores[best].now() && stepped[i] < stepped[best] {
+					best = i
 				}
 			}
 			if best == -1 {
 				return
 			}
-			// Run a small quantum to amortize selection.
-			q := remaining[best]
-			if q > 64 {
-				q = 64
-			}
-			for k := uint64(0); k < q; k++ {
-				s.cores[best].step(s.h, best, srcs[best].Next())
-			}
-			remaining[best] -= q
+			s.cores[best].step(s.h, best, srcs[best].Next())
+			remaining[best]--
+			stepped[best] = seq
 		}
 	}
-	runPhase()
+	runPhase(warmup)
 	startCycles := make([]uint64, n)
 	for i, c := range s.cores {
 		startCycles[i] = c.lastRetire
 	}
 	startStats := s.h.stats
-	for i := range remaining {
-		remaining[i] = measure
-	}
-	runPhase()
+	runPhase(measure)
 	st := diffStats(s.h.stats, startStats)
 	out := make([]Result, n)
 	for i, c := range s.cores {

@@ -423,7 +423,7 @@ func TrainingNames() []string {
 func Mixes(n int, seed uint64) [][]string { return MixesN(n, 4, seed) }
 
 // MixesN returns n pseudo-random size-benchmark mixes over the SPEC
-// suite — the N-core generalization the event-engine scaling runs use
+// suite — the N-core generalization the mcscale experiment uses
 // (8/16-core mixes beyond the paper's 4-core table). MixesN(n, 4, seed)
 // is byte-identical to the historical Mixes(n, seed).
 func MixesN(n, size int, seed uint64) [][]string {
