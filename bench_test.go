@@ -8,7 +8,8 @@
 // and use cmd/experiments -scale full for the paper-scale numbers. The
 // BenchmarkCold* pairs at the bottom time cold (memo-cleared) runs at
 // jobs=1 versus jobs=NumCPU to track the parallel engine's speedup;
-// cmd/benchjson emits the same comparison as BENCH_parallel.json.
+// cmd/benchjson writes the same comparison to BENCH_parallel.json, a local
+// output of `make bench-parallel` that is not committed.
 package repro
 
 import (

@@ -40,8 +40,11 @@ type Config struct {
 	// "kpc-p" (§V-B), or "none".
 	L2Prefetcher string
 
-	// MSHRs bounds in-flight misses tracked per cache level (timing merge
-	// windows; excess entries are recycled oldest-first).
+	// MSHRs bounds each private cache level's in-flight miss table (timing
+	// merge windows); the shared LLC's bound is MSHRs*Cores. Once a table
+	// holds its bound in entries, each new miss first drops every
+	// completed entry; if 4× the bound or more are still in flight after
+	// that, the table is cleared.
 	MSHRs int
 }
 

@@ -13,51 +13,176 @@ type LLCObserver func(a trace.Access, hit bool)
 // level is one private cache level (L1I, L1D, or L2) with LRU replacement
 // (Table III) and an MSHR-style in-flight timing table.
 type level struct {
-	c        *cache.Cache
-	latency  uint64
-	inflight map[uint64]uint64 // block → ready time
-	mshrs    int
+	c       *cache.Cache
+	latency uint64
+	mshr    mshrTable
 }
 
 func newLevel(cfg cache.Config, latency uint64, mshrs int) *level {
-	return &level{
-		c:        cache.New(cfg),
-		latency:  latency,
-		inflight: make(map[uint64]uint64),
-		mshrs:    mshrs,
+	return &level{c: cache.New(cfg), latency: latency, mshr: newMSHRTable(mshrs)}
+}
+
+// mshrTable maps an in-flight block to its ready time. Entries sit in a
+// min-heap on ready time, so the pressure sweep pops exactly the completed
+// entries and never visits one still in flight. A flat open-addressed index
+// (linear probing, backward-shift deletion) finds a block's heap entry.
+// The sweep and clear rules in insert keep at most 4*bound entries, so
+// both arrays are sized once and nothing allocates afterwards.
+type mshrTable struct {
+	bound int
+	heap  []mshrEntry // min-heap on ready; len(heap) is the entry count
+	index []mshrSlot  // len is a power of two, at least twice the capacity
+	shift uint        // 64 - log2(len(index))
+}
+
+type mshrEntry struct {
+	ready uint64
+	slot  uint32 // this entry's position in index
+}
+
+type mshrSlot struct {
+	key uint64 // block+1; 0 marks an empty slot
+	pos uint32 // this block's position in heap
+}
+
+func newMSHRTable(bound int) mshrTable {
+	capacity := max(4*bound, 1)
+	size, shift := 2, uint(63)
+	for size < 2*capacity {
+		size, shift = 2*size, shift-1
+	}
+	return mshrTable{
+		bound: bound,
+		heap:  make([]mshrEntry, 0, capacity),
+		index: make([]mshrSlot, size),
+		shift: shift,
 	}
 }
 
-// mshrLookup returns the in-flight ready time for addr's block, if any.
-func (l *level) mshrLookup(addr, now uint64) (uint64, bool) {
-	ready, ok := l.inflight[addr>>6]
+// lookup returns the in-flight ready time for addr's block, if any. An
+// entry that has completed (ready <= now) is dropped and reported absent.
+func (t *mshrTable) lookup(addr, now uint64) (uint64, bool) {
+	i, ok := t.find(addr>>6 + 1)
 	if !ok {
 		return 0, false
 	}
+	pos := t.index[i].pos
+	ready := t.heap[pos].ready
 	if ready <= now {
-		delete(l.inflight, addr>>6)
+		t.remove(pos)
 		return 0, false
 	}
 	return ready, true
 }
 
-// mshrInsert records an in-flight miss. Under pressure the table drops
-// every already-completed entry (ready <= now) — a value-conditioned
-// sweep, so the timing model stays deterministic (map iteration order
-// must never pick which entry survives) and still-in-flight entries are
-// never lost to a later miss's insert.
-func (l *level) mshrInsert(addr, now, ready uint64) {
-	if len(l.inflight) >= l.mshrs {
-		for k, v := range l.inflight {
-			if v <= now {
-				delete(l.inflight, k)
-			}
+// insert records an in-flight miss for addr's block. Once the table holds
+// bound entries, each insert first drops every completed entry (ready <=
+// now); if 4*bound or more entries are still in flight after that, the
+// table is cleared.
+func (t *mshrTable) insert(addr, now, ready uint64) {
+	if len(t.heap) >= t.bound {
+		for len(t.heap) > 0 && t.heap[0].ready <= now {
+			t.remove(0)
 		}
-		if len(l.inflight) >= 4*l.mshrs {
-			l.inflight = make(map[uint64]uint64)
+		if len(t.heap) >= 4*t.bound {
+			for _, e := range t.heap {
+				t.index[e.slot].key = 0
+			}
+			t.heap = t.heap[:0]
 		}
 	}
-	l.inflight[addr>>6] = ready
+	key := addr>>6 + 1
+	i, ok := t.find(key)
+	if ok {
+		pos := t.index[i].pos
+		t.heap[pos].ready = ready
+		t.fix(pos)
+		return
+	}
+	t.index[i] = mshrSlot{key: key, pos: uint32(len(t.heap))}
+	t.heap = append(t.heap, mshrEntry{ready: ready, slot: i})
+	t.fix(uint32(len(t.heap) - 1))
+}
+
+// find returns key's index slot, or the empty slot where it would go.
+func (t *mshrTable) find(key uint64) (uint32, bool) {
+	mask := uint32(len(t.index) - 1)
+	for i := t.home(key); ; i = (i + 1) & mask {
+		switch t.index[i].key {
+		case key:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+// home is key's preferred index slot (Fibonacci hashing).
+func (t *mshrTable) home(key uint64) uint32 {
+	return uint32(key * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// remove deletes the entry at heap position pos.
+func (t *mshrTable) remove(pos uint32) {
+	t.unindex(t.heap[pos].slot)
+	last := uint32(len(t.heap) - 1)
+	moved := t.heap[last]
+	t.heap = t.heap[:last]
+	if pos < last {
+		t.place(pos, moved)
+		t.fix(pos)
+	}
+}
+
+// unindex empties index slot i, shifting later entries of its probe run
+// back so every key stays reachable from its home slot.
+func (t *mshrTable) unindex(i uint32) {
+	mask := uint32(len(t.index) - 1)
+	for j := (i + 1) & mask; t.index[j].key != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if (j-t.home(t.index[j].key))&mask >= (j-i)&mask {
+			t.index[i] = t.index[j]
+			t.heap[t.index[i].pos].slot = i
+			i = j
+		}
+	}
+	t.index[i].key = 0
+}
+
+// fix restores heap order after the entry at pos changed or arrived.
+func (t *mshrTable) fix(pos uint32) {
+	e := t.heap[pos]
+	for pos > 0 {
+		parent := (pos - 1) / 2
+		if t.heap[parent].ready <= e.ready {
+			break
+		}
+		t.place(pos, t.heap[parent])
+		pos = parent
+	}
+	n := uint32(len(t.heap))
+	for {
+		c := 2*pos + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && t.heap[c+1].ready < t.heap[c].ready {
+			c++
+		}
+		if e.ready <= t.heap[c].ready {
+			break
+		}
+		t.place(pos, t.heap[c])
+		pos = c
+	}
+	t.place(pos, e)
+}
+
+// place stores e at heap position pos and points its index slot there.
+func (t *mshrTable) place(pos uint32, e mshrEntry) {
+	t.heap[pos] = e
+	t.index[e.slot].pos = pos
 }
 
 // lruVictim selects the least recently used way of a full set.
@@ -96,8 +221,6 @@ type Hierarchy struct {
 
 	observer LLCObserver
 	stats    LLCStats
-	// wbToDRAM counts dirty LLC victims written back to DRAM.
-	wbToDRAM uint64
 }
 
 // NewHierarchy builds the memory system. The policy is Init-ed against the
@@ -169,7 +292,7 @@ func (h *Hierarchy) accessLLC(core int, pc, addr uint64, ty trace.AccessType, no
 		// counts (and the observer has fired), but it must not re-drive
 		// the replacement policy or re-count the demand miss — one
 		// outstanding fetch performs exactly one fill.
-		if ready, ok := h.llc.mshrLookup(addr, now); ok {
+		if ready, ok := h.llc.mshr.lookup(addr, now); ok {
 			return ready
 		}
 	}
@@ -183,7 +306,7 @@ func (h *Hierarchy) accessLLC(core int, pc, addr uint64, ty trace.AccessType, no
 		// Fetch from memory (writeback misses allocate without a read:
 		// the evicted L2 line carries the full data).
 		done = now + h.llc.latency + h.cfg.DRAMLatency
-		h.llc.mshrInsert(addr, now, done)
+		h.llc.mshr.insert(addr, now, done)
 	}
 
 	way = h.llc.c.InvalidWay(setIdx)
@@ -193,10 +316,7 @@ func (h *Hierarchy) accessLLC(core int, pc, addr uint64, ty trace.AccessType, no
 	if way == policy.Bypass {
 		return done
 	}
-	victim := h.llc.c.Fill(setIdx, way, a)
-	if victim.Valid && victim.Dirty {
-		h.wbToDRAM++
-	}
+	h.llc.c.Fill(setIdx, way, a)
 	h.pol.Update(ctx, set, way, false)
 	return done
 }
@@ -221,11 +341,11 @@ func (h *Hierarchy) accessL2(core int, pc, addr uint64, ty trace.AccessType, now
 	}
 
 	var done uint64
-	if ready, ok := l2.mshrLookup(addr, now); ok {
+	if ready, ok := l2.mshr.lookup(addr, now); ok {
 		done = ready
 	} else {
 		done = h.accessLLC(core, pc, addr, ty, now+l2.latency)
-		l2.mshrInsert(addr, now, done)
+		l2.mshr.insert(addr, now, done)
 	}
 	h.fillLevel(core, l2, addr, pc, ty)
 	return done
@@ -277,8 +397,6 @@ func (h *Hierarchy) writeback(core int, from *level, victim cache.Line) {
 		// L2 victim → LLC writeback access (the WB type the paper's traces
 		// record). Timing is off the critical path.
 		h.accessLLC(core, 0, addr, trace.Writeback, 0)
-	default:
-		h.wbToDRAM++
 	}
 }
 
@@ -289,11 +407,11 @@ func (h *Hierarchy) issueL2Prefetch(core int, pc, addr uint64, now uint64) {
 	if _, _, hit := l2.c.Probe(addr); hit {
 		return
 	}
-	if _, ok := l2.mshrLookup(addr, now); ok {
+	if _, ok := l2.mshr.lookup(addr, now); ok {
 		return // already in flight
 	}
 	done := h.accessLLC(core, pc, addr, trace.Prefetch, now+l2.latency)
-	l2.mshrInsert(addr, now, done)
+	l2.mshr.insert(addr, now, done)
 	if h.kpcp[core] != nil && !h.kpcp[core].FillL2(addr) {
 		return // KPC-P pollution gate: low confidence stays out of L2
 	}
@@ -323,11 +441,11 @@ func (h *Hierarchy) AccessData(core int, pc, addr uint64, store bool, now uint64
 		return now + l1.latency
 	}
 	var done uint64
-	if ready, ok := l1.mshrLookup(addr, now); ok {
+	if ready, ok := l1.mshr.lookup(addr, now); ok {
 		done = ready
 	} else {
 		done = h.accessL2(core, pc, addr, ty, now+l1.latency)
-		l1.mshrInsert(addr, now, done)
+		l1.mshr.insert(addr, now, done)
 	}
 	h.fillLevel(core, l1, addr, pc, ty)
 	return done
@@ -340,11 +458,11 @@ func (h *Hierarchy) issueL1Prefetch(core int, pc, addr uint64, now uint64) {
 	if _, _, hit := l1.c.Probe(addr); hit {
 		return
 	}
-	if _, ok := l1.mshrLookup(addr, now); ok {
+	if _, ok := l1.mshr.lookup(addr, now); ok {
 		return
 	}
 	done := h.accessL2(core, pc, addr, trace.Prefetch, now+l1.latency)
-	l1.mshrInsert(addr, now, done)
+	l1.mshr.insert(addr, now, done)
 	h.fillLevel(core, l1, addr, pc, trace.Prefetch)
 }
 
@@ -358,11 +476,11 @@ func (h *Hierarchy) AccessInstr(core int, pc uint64, now uint64) uint64 {
 		return now + l1.latency
 	}
 	var done uint64
-	if ready, ok := l1.mshrLookup(pc, now); ok {
+	if ready, ok := l1.mshr.lookup(pc, now); ok {
 		done = ready
 	} else {
 		done = h.accessL2(core, pc, pc, trace.Load, now+l1.latency)
-		l1.mshrInsert(pc, now, done)
+		l1.mshr.insert(pc, now, done)
 	}
 	h.fillLevel(core, l1, pc, pc, trace.Load)
 	return done

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cache"
@@ -173,27 +174,28 @@ func TestLLCMergedMissUpdatesTimingOnly(t *testing.T) {
 	}
 }
 
-// TestMSHRPressureSweepKeepsInflight: the pressure sweep in mshrInsert must
-// drop only entries that have already completed (ready <= now), never
-// entries that merely complete before the new miss. Regression: the sweep
-// compared against the new miss's future ready time, dropping every
-// still-in-flight entry and re-charging later merges full DRAM latency.
+// TestMSHRPressureSweepKeepsInflight: the pressure sweep in
+// mshrTable.insert must drop only entries that have already completed
+// (ready <= now), never entries that merely complete before the new miss.
+// Regression: the sweep compared against the new miss's future ready time,
+// dropping every still-in-flight entry and re-charging later merges full
+// DRAM latency.
 func TestMSHRPressureSweepKeepsInflight(t *testing.T) {
 	l := newLevel(cache.Config{Sets: 2, Ways: 2, LineSize: 64}, 4, 4)
 	// Four in-flight fetches completing at t=100.
 	for i := uint64(0); i < 4; i++ {
-		l.mshrInsert(i<<6, 0, 100)
+		l.mshr.insert(i<<6, 0, 100)
 	}
 	// A fifth miss at t=10 completing far in the future: the table is at its
 	// MSHR bound, but none of the resident entries has completed yet.
-	l.mshrInsert(5<<6, 10, 500)
-	if _, ok := l.mshrLookup(1<<6, 50); !ok {
+	l.mshr.insert(5<<6, 10, 500)
+	if _, ok := l.mshr.lookup(1<<6, 50); !ok {
 		t.Error("in-flight MSHR entry dropped by the pressure sweep")
 	}
 	// Entries that HAVE completed are swept: re-fill the table at t=200
 	// (after the first four completed) and check one of them is gone.
-	l.mshrInsert(6<<6, 200, 700)
-	if _, ok := l.inflight[2]; ok {
+	l.mshr.insert(6<<6, 200, 700)
+	if _, ok := l.mshr.peek(2 << 6); ok {
 		t.Error("completed MSHR entry survived a pressure sweep")
 	}
 }
@@ -215,7 +217,7 @@ func TestInstrFetchMergeNearReadyStaysSane(t *testing.T) {
 	sys.h.AccessData(0, pc, data, false, 0)
 	// First fetch at t=0 misses everywhere: in flight until ~L1+L2+LLC+DRAM.
 	c.step(sys.h, 0, trace.Instr{PC: pc, Kind: trace.MemNone})
-	ready, ok := sys.h.l1i[0].inflight[pc>>6]
+	ready, ok := sys.h.l1i[0].mshr.peek(pc)
 	if !ok {
 		t.Fatal("first fetch left no MSHR entry")
 	}
@@ -238,6 +240,148 @@ func TestInstrFetchMergeNearReadyStaysSane(t *testing.T) {
 	if c.lastRetire > ready+cfg.L1ILatency+1 {
 		t.Errorf("near-ready fetch merge exploded: retire %d, fetch was ready at %d",
 			c.lastRetire, ready)
+	}
+}
+
+// peek returns addr's entry without lookup's drop of a completed entry.
+func (t *mshrTable) peek(addr uint64) (uint64, bool) {
+	i, ok := t.find(addr>>6 + 1)
+	if !ok {
+		return 0, false
+	}
+	return t.heap[t.index[i].pos].ready, true
+}
+
+// mapMSHR is the map-based MSHR table that mshrTable replaced, kept as the
+// reference for TestMSHRTableMatchesMapReference. Its pressure sweep visits
+// every entry; sweeps and clears count how often each rule fired.
+type mapMSHR struct {
+	inflight       map[uint64]uint64 // block → ready time
+	mshrs          int
+	sweeps, clears int
+}
+
+func (l *mapMSHR) mshrLookup(addr, now uint64) (uint64, bool) {
+	ready, ok := l.inflight[addr>>6]
+	if !ok {
+		return 0, false
+	}
+	if ready <= now {
+		delete(l.inflight, addr>>6)
+		return 0, false
+	}
+	return ready, true
+}
+
+func (l *mapMSHR) mshrInsert(addr, now, ready uint64) {
+	if len(l.inflight) >= l.mshrs {
+		l.sweeps++
+		for k, v := range l.inflight {
+			if v <= now {
+				delete(l.inflight, k)
+			}
+		}
+		if len(l.inflight) >= 4*l.mshrs {
+			l.clears++
+			l.inflight = make(map[uint64]uint64)
+		}
+	}
+	l.inflight[addr>>6] = ready
+}
+
+// checkMSHRTable fails unless tab holds exactly ref's entries, its heap is
+// ordered on ready time, and its heap and index point at each other.
+func checkMSHRTable(t *testing.T, step int, tab *mshrTable, ref *mapMSHR) {
+	t.Helper()
+	if len(tab.heap) != len(ref.inflight) {
+		t.Fatalf("step %d: %d entries, reference has %d", step, len(tab.heap), len(ref.inflight))
+	}
+	for block, want := range ref.inflight {
+		if got, ok := tab.peek(block << 6); !ok || got != want {
+			t.Fatalf("step %d: block %#x holds (%d, %v), reference %d", step, block, got, ok, want)
+		}
+	}
+	for pos, e := range tab.heap {
+		if pos > 0 && tab.heap[(pos-1)/2].ready > e.ready {
+			t.Fatalf("step %d: heap order broken at %d", step, pos)
+		}
+		if tab.index[e.slot].pos != uint32(pos) {
+			t.Fatalf("step %d: heap entry %d and its index slot disagree", step, pos)
+		}
+	}
+}
+
+// TestMSHRTableMatchesMapReference drives mshrTable and the map-based
+// reference with the same seeded operations — repeated blocks, ready times
+// at or before now, and now jumping backwards (writebacks run at time 0) —
+// and requires identical lookups and contents after every step, with both
+// the pressure sweep and the 4x clear exercised.
+func TestMSHRTableMatchesMapReference(t *testing.T) {
+	for _, mshrs := range []int{1, 4, 64} {
+		t.Run(fmt.Sprint(mshrs), func(t *testing.T) {
+			rng := xrand.New(uint64(mshrs))
+			tab := newMSHRTable(mshrs)
+			ref := &mapMSHR{inflight: map[uint64]uint64{}, mshrs: mshrs}
+			// A block pool larger than 4*mshrs, part sequential and part
+			// scattered, with block 0 in it.
+			pool := make([]uint64, 6*mshrs+8)
+			for i := range pool {
+				if i%2 == 0 {
+					pool[i] = uint64(i)
+				} else {
+					pool[i] = rng.Uint64() >> 6
+				}
+			}
+			now, maxLat := uint64(0), uint64(20)
+			for step := 0; step < 40000; step++ {
+				if step%500 == 0 {
+					maxLat = []uint64{20, 300, 5000}[rng.Intn(3)]
+				}
+				switch r := rng.Intn(100); {
+				case r < 2:
+					now = 0
+				case r < 5:
+					now -= min(now, rng.Uint64n(2*maxLat))
+				default:
+					now += rng.Uint64n(4)
+				}
+				addr := pool[rng.Intn(len(pool))]<<6 | rng.Uint64n(64)
+				if rng.Intn(2) == 0 {
+					got, gotOK := tab.lookup(addr, now)
+					want, wantOK := ref.mshrLookup(addr, now)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("step %d: lookup(%#x, %d) = (%d, %v), reference (%d, %v)",
+							step, addr, now, got, gotOK, want, wantOK)
+					}
+				} else {
+					ready := now + rng.Uint64n(maxLat) - min(now, 2)
+					tab.insert(addr, now, ready)
+					ref.mshrInsert(addr, now, ready)
+				}
+				checkMSHRTable(t, step, &tab, ref)
+			}
+			if ref.sweeps == 0 || ref.clears == 0 {
+				t.Fatalf("operations reached %d sweeps and %d clears; want both", ref.sweeps, ref.clears)
+			}
+		})
+	}
+}
+
+// TestMSHRTableZeroAllocs pins lookup and insert, including the pressure
+// sweep and the clear, at zero allocations.
+func TestMSHRTableZeroAllocs(t *testing.T) {
+	tab := newMSHRTable(4)
+	now := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		now += 1000
+		for b := uint64(0); b < 20; b++ { // the 17th insert clears
+			tab.insert(b<<6, now, now+100+b)
+		}
+		tab.lookup(3<<6, now)      // in flight
+		tab.lookup(19<<6, now+500) // completed: dropped
+	})
+	if allocs != 0 {
+		t.Errorf("mshrTable lookup/insert allocate %.1f times per run, want 0", allocs)
 	}
 }
 
