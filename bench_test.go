@@ -5,15 +5,29 @@
 //
 //	go test -bench=. -benchmem
 //
-// and use cmd/experiments -scale full for the paper-scale numbers. The
-// BenchmarkCold* pairs at the bottom time cold (memo-cleared) runs at
+// and use cmd/experiments -scale full for the paper-scale numbers. Every
+// table is hashed and checked against testdata/table_digests.txt, so a
+// change that moves any cell fails the bench smoke; after an intended
+// change, rewrite the recorded digests with
+//
+//	go test -run '^$' -bench . -benchtime 1x -update .
+//
+// and name the changed experiments in the commit. The BenchmarkCold* pairs at the bottom time cold (memo-cleared) runs at
 // jobs=1 versus jobs=NumCPU to track the parallel engine's speedup;
 // cmd/benchjson writes the same comparison to BENCH_parallel.json, a local
 // output of `make bench-parallel` that is not committed.
 package repro
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -21,9 +35,105 @@ import (
 	"repro/internal/stats"
 )
 
+var updateDigests = flag.Bool("update", false, "rewrite "+tableDigestsFile+" with this run's table digests")
+
+// tableDigestsFile records the SHA-256 of Table.String() per experiment at
+// BenchScale. The digests hold for the GOARCH the file names: Go fuses
+// multiply-add on some architectures (arm64) but never on amd64, so other
+// architectures may round differently and are not compared.
+const tableDigestsFile = "testdata/table_digests.txt"
+
+// readTableDigests parses tableDigestsFile: a "goarch <arch>" line, then
+// one "<experiment id> <hex sha256>" line per experiment. A missing file
+// reads as empty.
+func readTableDigests() (goarch string, digests map[string]string, err error) {
+	digests = map[string]string{}
+	f, err := os.Open(tableDigestsFile)
+	if os.IsNotExist(err) {
+		return "", digests, nil
+	}
+	if err != nil {
+		return "", nil, err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, val, ok := strings.Cut(line, " ")
+		if !ok {
+			return "", nil, fmt.Errorf("%s: malformed line %q", tableDigestsFile, line)
+		}
+		if key == "goarch" {
+			goarch = val
+		} else {
+			digests[key] = val
+		}
+	}
+	return goarch, digests, sc.Err()
+}
+
+// writeTableDigests rewrites tableDigestsFile for the running GOARCH,
+// experiments sorted by id.
+func writeTableDigests(digests map[string]string) error {
+	ids := make([]string, 0, len(digests))
+	for id := range digests {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var b strings.Builder
+	b.WriteString("# SHA-256 of stats.Table.String() per experiment at BenchScale.\n")
+	b.WriteString("# Checked by the benchmarks in bench_test.go; rewrite with\n")
+	b.WriteString("#   go test -run '^$' -bench . -benchtime 1x -update .\n")
+	fmt.Fprintf(&b, "goarch %s\n", runtime.GOARCH)
+	for _, id := range ids {
+		fmt.Fprintf(&b, "%s %s\n", id, digests[id])
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(tableDigestsFile, []byte(b.String()), 0o644)
+}
+
+// checkTableDigest compares tbl's digest with the recorded one for id, or
+// records it under -update.
+func checkTableDigest(b *testing.B, id string, tbl *stats.Table) {
+	b.Helper()
+	sum := sha256.Sum256([]byte(tbl.String()))
+	got := hex.EncodeToString(sum[:])
+	goarch, digests, err := readTableDigests()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if *updateDigests {
+		if goarch != "" && goarch != runtime.GOARCH {
+			digests = map[string]string{}
+		}
+		digests[id] = got
+		if err := writeTableDigests(digests); err != nil {
+			b.Fatal(err)
+		}
+		return
+	}
+	if goarch != runtime.GOARCH {
+		b.Logf("%s records %s digests; not comparing on %s", tableDigestsFile, goarch, runtime.GOARCH)
+		return
+	}
+	want, ok := digests[id]
+	switch {
+	case !ok:
+		b.Fatalf("experiment %s has no digest in %s; record it with -update", id, tableDigestsFile)
+	case got != want:
+		b.Fatalf("experiment %s table digest %s, recorded %s: the table changed\n%s", id, got, want, tbl)
+	}
+}
+
 // runExperiment executes one experiment b.N times, reporting the table's
-// row count as a sanity metric. Traces and trained agents are memoized
-// across benchmarks within the process, as they are in the harness binary.
+// row count as a sanity metric and checking the table's digest. Traces and
+// trained agents are memoized across benchmarks within the process, as
+// they are in the harness binary.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	s := experiments.BenchScale()
@@ -38,6 +148,7 @@ func runExperiment(b *testing.B, id string) {
 	if tbl == nil || len(tbl.Rows) == 0 {
 		b.Fatalf("experiment %s produced an empty table", id)
 	}
+	checkTableDigest(b, id, tbl)
 	b.ReportMetric(float64(len(tbl.Rows)), "rows")
 }
 
