@@ -7,11 +7,20 @@
 // chain that adds its terms in exactly the reference order (bias first,
 // then ascending input index; gradients in ascending sample order). The
 // kernels gain their speed from register blocking (independent
-// accumulator chains hide FP-add latency instead of serializing on it)
-// and cache blocking (a weight tile is reused across every row of the
-// batch while it is hot), not from re-association, so batched training
-// produces byte-identical weights to per-sample training for a fixed
-// seed.
+// accumulator chains hide FP-add latency instead of serializing on it),
+// SIMD lanes that each carry one such chain, and cache blocking (a weight
+// tile is reused across every row of the batch while it is hot; a
+// gradient row stays in L1 while every sample adds into it), not from
+// re-association, so batched training produces byte-identical weights to
+// per-sample training for a fixed seed.
+//
+// Forward kernels: groups of 4 rows run through a 4-row × 4-output tile
+// (mm44avx2 with AVX2, mm44 without); the rows left over — all of them in
+// the agent's batch-of-one inference — run through the 1-row ×
+// rowOuts-output tile mm1x. Gradient kernels: 4 live samples add into a
+// gradient row through accum4 (AVX2 lanes over the input index);
+// masked-out samples are skipped, and a group with some masked samples
+// runs its live ones as ordered axpys.
 package nn
 
 import (
@@ -101,10 +110,12 @@ func applyAct(act Activation, y, z []float64) {
 }
 
 // matmulBias computes z[r*out+o] = bias[o] + Σ_k x[r*in+k]·w[o*in+k] for
-// r < b, o < out. Batches of ≥4 rows go through the AVX2 kernel when the
-// CPU has it; everything else (and non-amd64 builds) uses the loop-blocked
-// pure-Go kernel. Both produce bit-identical results — the dispatch is a
-// speed choice only, and the equivalence tests run both paths.
+// r < b, o < out. Batches of ≥4 rows go through the AVX2 driver when the
+// CPU has it; everything else (batches of 1–3 rows, and non-amd64 builds)
+// uses the loop-blocked pure-Go kernel. Both drivers send leftover rows
+// to the same 1-row kernel, and all paths produce bit-identical results —
+// the dispatch is a speed choice only, and the equivalence tests run
+// every path.
 func (m *MLP) matmulBias(z, x, w, bias []float64, b, in, out int) {
 	if useAVX2 && b >= 4 && out >= 4 {
 		matmulVec(z, x, w, bias, b, in, out, m.pack)
@@ -116,12 +127,12 @@ func (m *MLP) matmulBias(z, x, w, bias []float64, b, in, out int) {
 // matmulVec is the AVX2 driver: for each group of 4 batch rows it packs
 // the rows k-major (so one 32-byte load fetches the same input element of
 // all 4 samples) and sweeps the weight matrix in 4-output tiles via
-// mm44avx2. Ragged edges — trailing rows when b%4 ≠ 0, trailing outputs
-// when out%4 ≠ 0 — fall back to the scalar-order Go loops.
+// mm44avx2. Everything outside those tiles — the trailing out%4 outputs
+// of each group, and every output of the trailing b%4 rows — goes
+// through the 1-row kernel.
 func matmulVec(z, x, w, bias []float64, b, in, out int, pack []float64) {
-	outFull := out &^ 3
-	r0 := 0
-	for ; r0+4 <= b; r0 += 4 {
+	bFull, outFull := b&^3, out&^3
+	for r0 := 0; r0 < bFull; r0 += 4 {
 		x0 := x[r0*in : (r0+1)*in]
 		x1 := x[(r0+1)*in : (r0+2)*in]
 		x2 := x[(r0+2)*in : (r0+3)*in]
@@ -136,34 +147,44 @@ func matmulVec(z, x, w, bias []float64, b, in, out int, pack []float64) {
 		for o0 := 0; o0 < outFull; o0 += 4 {
 			mm44avx2(&z[r0*out+o0], &xg[0], &w[o0*in], &bias[o0], int64(in), int64(out))
 		}
-		if outFull < out {
-			mmTail(z, x, w, bias, r0, 4, outFull, out-outFull, 0, in, in, out, true)
-		}
 	}
-	if r0 < b {
-		mmTail(z, x, w, bias, r0, b-r0, 0, out, 0, in, in, out, true)
-	}
+	mmEdges(z, x, w, bias, b, 0, in, in, out, true)
 }
 
 // matmulGo is the portable kernel: an i/j/k loop-blocked matrix multiply.
 // Each (r,o) accumulator adds its terms in strictly ascending k — the
 // same order the scalar reference uses — so the result is bit-identical;
 // k-bands park partial sums in z between passes (exact: float64
-// store/load round-trips are lossless).
+// store/load round-trips are lossless). Full 4-row × 4-output tiles run
+// through mm44; the rest, as in matmulVec, through the 1-row kernel.
 func matmulGo(z, x, w, bias []float64, b, in, out int) {
+	bFull, outFull := b&^(rowTile-1), out&^(colTile-1)
 	for k0 := 0; k0 < in; k0 += kBand {
 		kn := min(kBand, in-k0)
 		first := k0 == 0
-		for o0 := 0; o0 < out; o0 += colTile {
-			on := min(colTile, out-o0)
-			for r0 := 0; r0 < b; r0 += rowTile {
-				rn := min(rowTile, b-r0)
-				if on == colTile && rn == rowTile {
-					mm44(z, x, w, bias, r0, o0, k0, kn, in, out, first)
-				} else {
-					mmTail(z, x, w, bias, r0, rn, o0, on, k0, kn, in, out, first)
-				}
+		for o0 := 0; o0 < outFull; o0 += colTile {
+			for r0 := 0; r0 < bFull; r0 += rowTile {
+				mm44(z, x, w, bias, r0, o0, k0, kn, in, out, first)
 			}
+		}
+		mmEdges(z, x, w, bias, b, k0, kn, in, out, first)
+	}
+}
+
+// mmEdges runs the parts of a k-band the 4×4 tiles leave out through the
+// 1-row kernel: outputs from out&^3 on in rows below b&^3, and every
+// output of the rows from b&^3 on.
+func mmEdges(z, x, w, bias []float64, b, k0, kn, in, out int, first bool) {
+	bFull, outFull := b&^3, out&^3
+	for r := 0; r < b; r++ {
+		o0 := outFull
+		if r >= bFull {
+			o0 = 0
+		}
+		xr := x[r*in+k0:][:kn]
+		zr := z[r*out : (r+1)*out]
+		for ; o0 < out; o0 += rowOuts {
+			mm1x(zr[o0:], xr, w[o0*in+k0:], bias[o0:], in, min(rowOuts, out-o0), first)
 		}
 	}
 }
@@ -173,14 +194,14 @@ func matmulGo(z, x, w, bias []float64, b, in, out int) {
 // chains turn the latency-bound scalar dot product into a
 // throughput-bound kernel without touching summation order.
 func mm44(z, x, w, bias []float64, r0, o0, k0, kn, in, out int, first bool) {
-	x0 := x[r0*in+k0 : r0*in+k0+kn]
-	x1 := x[(r0+1)*in+k0 : (r0+1)*in+k0+kn]
-	x2 := x[(r0+2)*in+k0 : (r0+2)*in+k0+kn]
-	x3 := x[(r0+3)*in+k0 : (r0+3)*in+k0+kn]
-	w0 := w[o0*in+k0 : o0*in+k0+kn]
-	w1 := w[(o0+1)*in+k0 : (o0+1)*in+k0+kn]
-	w2 := w[(o0+2)*in+k0 : (o0+2)*in+k0+kn]
-	w3 := w[(o0+3)*in+k0 : (o0+3)*in+k0+kn]
+	x0 := x[r0*in+k0:][:kn]
+	x1 := x[(r0+1)*in+k0:][:kn]
+	x2 := x[(r0+2)*in+k0:][:kn]
+	x3 := x[(r0+3)*in+k0:][:kn]
+	w0 := w[o0*in+k0:][:kn]
+	w1 := w[(o0+1)*in+k0:][:kn]
+	w2 := w[(o0+2)*in+k0:][:kn]
+	w3 := w[(o0+3)*in+k0:][:kn]
 
 	var a00, a01, a02, a03 float64
 	var a10, a11, a12, a13 float64
@@ -235,23 +256,36 @@ func mm44(z, x, w, bias []float64, r0, o0, k0, kn, in, out int, first bool) {
 	z3[0], z3[1], z3[2], z3[3] = a30, a31, a32, a33
 }
 
-// mmTail handles the ragged edges of the tile grid with plain loops, same
-// accumulation order.
-func mmTail(z, x, w, bias []float64, r0, rn, o0, on, k0, kn, in, out int, first bool) {
-	for r := r0; r < r0+rn; r++ {
-		xr := x[r*in+k0 : r*in+k0+kn]
-		for o := o0; o < o0+on; o++ {
-			wo := w[o*in+k0 : o*in+k0+kn]
-			acc := z[r*out+o]
-			if first {
-				acc = bias[o]
-			}
-			for k, xv := range xr {
-				acc += xv * wo[k]
-			}
-			z[r*out+o] = acc
-		}
+// rowOuts is the width of the 1-row kernel mm1x.
+const rowOuts = 4
+
+// mm1x is the 1-row kernel: rowOuts independent accumulator chains (one
+// per output) share each input element, so the batch-of-one forward pass
+// is bound by add throughput instead of one serial add chain per output.
+// It computes the first on ≤ rowOuts outputs of z; output c reads its
+// weights at w[c*in : c*in+len(x)]. Each chain starts at its bias (or its
+// parked partial sum) and adds terms in ascending k. When on < rowOuts
+// the spare chains repeat output on-1, whose equal value they store
+// again.
+func mm1x(z, x, w, bias []float64, in, on int, first bool) {
+	n := len(x)
+	c1, c2, c3 := min(1, on-1), min(2, on-1), min(3, on-1)
+	w0 := w[:n]
+	w1 := w[c1*in:][:n]
+	w2 := w[c2*in:][:n]
+	w3 := w[c3*in:][:n]
+	src := z
+	if first {
+		src = bias
 	}
+	a0, a1, a2, a3 := src[0], src[c1], src[c2], src[c3]
+	for k, xv := range x {
+		a0 += xv * w0[k]
+		a1 += xv * w1[k]
+		a2 += xv * w2[k]
+		a3 += xv * w3[k]
+	}
+	z[0], z[c1], z[c2], z[c3] = a0, a1, a2, a3
 }
 
 // BackwardBatch accumulates gradients of 0.5·Σ(output − target)² for
@@ -306,20 +340,20 @@ func outputDeltas(l *layer, targets []float64, b int) {
 // accumGrads adds the batch's weight/bias gradient contributions:
 // gw[o][i] += Σ_r d[r][o]·prevY[r][i] and gb[o] += Σ_r d[r][o], with r
 // strictly ascending per cell and zero-delta (r,o) pairs skipped — the
-// scalar reference semantics. Four samples are fused per pass when all
-// their deltas are live (the dense hidden-layer case); otherwise the live
-// ones run as ordered axpys (the sparse masked-output case, where at most
-// one action per sample carries error).
+// scalar reference semantics. Outputs are the outer loop, so one gw row
+// stays in L1 while every sample adds into it. Samples go in groups of
+// four: a group whose deltas are all live (the dense hidden-layer case)
+// runs through accum4; otherwise its live samples run as ordered axpys
+// (the sparse masked-output case, where at most one action per sample
+// carries error).
 func accumGrads(l *layer, prevY []float64, in, b int) {
 	out := l.out
 	d := l.d
-	r0 := 0
-	for ; r0+rowTile <= b; r0 += rowTile {
-		y0 := prevY[r0*in : r0*in+in]
-		y1 := prevY[(r0+1)*in : (r0+1)*in+in]
-		y2 := prevY[(r0+2)*in : (r0+2)*in+in]
-		y3 := prevY[(r0+3)*in : (r0+3)*in+in]
-		for o := 0; o < out; o++ {
+	bFull := b &^ (rowTile - 1)
+	for o := 0; o < out; o++ {
+		grow := l.gw[o*in : o*in+in]
+		gb := l.gb[o]
+		for r0 := 0; r0 < bFull; r0 += rowTile {
 			d0 := d[r0*out+o]
 			d1 := d[(r0+1)*out+o]
 			d2 := d[(r0+2)*out+o]
@@ -327,56 +361,65 @@ func accumGrads(l *layer, prevY []float64, in, b int) {
 			if d0 == 0 && d1 == 0 && d2 == 0 && d3 == 0 {
 				continue
 			}
-			grow := l.gw[o*in : o*in+in]
+			y0 := prevY[r0*in : r0*in+in]
+			y1 := prevY[(r0+1)*in : (r0+1)*in+in]
+			y2 := prevY[(r0+2)*in : (r0+2)*in+in]
+			y3 := prevY[(r0+3)*in : (r0+3)*in+in]
 			if d0 != 0 && d1 != 0 && d2 != 0 && d3 != 0 {
-				for i := range grow {
-					g := grow[i]
-					g += d0 * y0[i]
-					g += d1 * y1[i]
-					g += d2 * y2[i]
-					g += d3 * y3[i]
-					grow[i] = g
-				}
-			} else {
-				if d0 != 0 {
-					axpy(grow, y0, d0)
-				}
-				if d1 != 0 {
-					axpy(grow, y1, d1)
-				}
-				if d2 != 0 {
-					axpy(grow, y2, d2)
-				}
-				if d3 != 0 {
-					axpy(grow, y3, d3)
-				}
+				accum4(grow, y0, y1, y2, y3, d0, d1, d2, d3)
+				gb += d0
+				gb += d1
+				gb += d2
+				gb += d3
+				continue
 			}
-			gb := l.gb[o]
 			if d0 != 0 {
+				axpy(grow, y0, d0)
 				gb += d0
 			}
 			if d1 != 0 {
+				axpy(grow, y1, d1)
 				gb += d1
 			}
 			if d2 != 0 {
+				axpy(grow, y2, d2)
 				gb += d2
 			}
 			if d3 != 0 {
+				axpy(grow, y3, d3)
 				gb += d3
 			}
-			l.gb[o] = gb
 		}
-	}
-	for r := r0; r < b; r++ { // ragged tail, per sample in order
-		yr := prevY[r*in : r*in+in]
-		for o := 0; o < out; o++ {
-			dv := d[r*out+o]
-			if dv == 0 {
-				continue
+		for r := bFull; r < b; r++ { // ragged tail, per sample in order
+			if dv := d[r*out+o]; dv != 0 {
+				axpy(grow, prevY[r*in:r*in+in], dv)
+				gb += dv
 			}
-			axpy(l.gw[o*in:o*in+in], yr, dv)
-			l.gb[o] += dv
 		}
+		l.gb[o] = gb
+	}
+}
+
+// accum4 adds four samples' contributions into one gradient row:
+// g[i] += d0·y0[i], then d1·y1[i], d2·y2[i], d3·y3[i], each product
+// rounded and added on its own in that order. The AVX2 kernel takes the
+// 4-aligned prefix (cells in vector lanes, separate multiply and add) and
+// the loop below the rest, or all of it without AVX2.
+func accum4(g, y0, y1, y2, y3 []float64, d0, d1, d2, d3 float64) {
+	n := len(g)
+	y0, y1, y2, y3 = y0[:n], y1[:n], y2[:n], y3[:n]
+	i := 0
+	if useAVX2 && n >= 4 {
+		i = n &^ 3
+		accum4avx2(&g[0], &y0[0], &y1[0], &y2[0], &y3[0], int64(i), d0, d1, d2, d3)
+	}
+	for ; i < n; i++ {
+		v := g[i]
+		v += d0 * y0[i]
+		v += d1 * y1[i]
+		v += d2 * y2[i]
+		v += d3 * y3[i]
+		g[i] = v
 	}
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -24,7 +25,9 @@ var testShapes = []struct {
 	{"kband", 1200, []LayerSpec{{Units: 6, Act: Tanh}, {Units: 2, Act: Linear}}}, // spans multiple k-bands
 }
 
-var testBatches = []int{1, 2, 3, 4, 5, 8, 17, 32}
+// testBatches covers 1–3 rows (the 1-row kernel only), exact 4-row
+// groups, and 5–7 rows (full groups plus 1-row remainders).
+var testBatches = []int{1, 2, 3, 4, 5, 6, 7, 8, 17, 32}
 
 func randInputs(rng *xrand.Rand, n int) []float64 {
 	xs := make([]float64, n)
@@ -112,21 +115,7 @@ func TestBackwardBatchBitIdenticalToRef(t *testing.T) {
 						ref.BackwardRef(ts[r*out : (r+1)*out])
 					}
 
-					for li := range m.layers {
-						lm, lr := m.layers[li], ref.layers[li]
-						for i := range lm.gw {
-							if !bitsEqual(lm.gw[i], lr.gw[i]) {
-								t.Fatalf("b=%d layer %d gw[%d]: batch %x ref %x",
-									b, li, i, math.Float64bits(lm.gw[i]), math.Float64bits(lr.gw[i]))
-							}
-						}
-						for o := range lm.gb {
-							if !bitsEqual(lm.gb[o], lr.gb[o]) {
-								t.Fatalf("b=%d layer %d gb[%d]: batch %x ref %x",
-									b, li, o, math.Float64bits(lm.gb[o]), math.Float64bits(lr.gb[o]))
-							}
-						}
-					}
+					checkGradsEqual(t, fmt.Sprintf("b=%d", b), m, ref)
 				}
 			})
 		}
@@ -273,6 +262,27 @@ func TestForwardBatchPanicsOnBadInput(t *testing.T) {
 	}
 }
 
+// checkGradsEqual fails t unless m and ref hold bit-identical weight and
+// bias gradients.
+func checkGradsEqual(t *testing.T, what string, m, ref *MLP) {
+	t.Helper()
+	for li := range m.layers {
+		lm, lr := m.layers[li], ref.layers[li]
+		for i := range lm.gw {
+			if !bitsEqual(lm.gw[i], lr.gw[i]) {
+				t.Fatalf("%s layer %d gw[%d]: batch %x ref %x",
+					what, li, i, math.Float64bits(lm.gw[i]), math.Float64bits(lr.gw[i]))
+			}
+		}
+		for o := range lm.gb {
+			if !bitsEqual(lm.gb[o], lr.gb[o]) {
+				t.Fatalf("%s layer %d gb[%d]: batch %x ref %x",
+					what, li, o, math.Float64bits(lm.gb[o]), math.Float64bits(lr.gb[o]))
+			}
+		}
+	}
+}
+
 // FuzzBatchEquivalence drives randomized shapes, batch sizes, inputs, and
 // masks through both paths, checking bit-identity of outputs and
 // gradients — the same oracle style as the chain-vs-map Belady fuzz.
@@ -344,6 +354,91 @@ func TestForwardBatchPureGoPath(t *testing.T) {
 						t.Fatalf("%s b=%d row %d out %d: go-kernel %x ref %x",
 							sh.name, b, r, o, math.Float64bits(got[r*out+o]), math.Float64bits(want[o]))
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestBackwardBatchPureGoPath re-runs the backward equivalence with the
+// vector kernels disabled, so the portable gradient loops are checked
+// against BackwardRef on AVX2 machines too.
+func TestBackwardBatchPureGoPath(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no vector kernel on this machine; main tests already cover the Go path")
+	}
+	useAVX2 = false
+	defer func() { useAVX2 = true }()
+	for _, sh := range testShapes {
+		for _, sparse := range []bool{false, true} {
+			m := NewMLP(sh.inputs, 7, sh.specs...)
+			ref := NewMLP(sh.inputs, 7, sh.specs...)
+			rng := xrand.New(5)
+			for _, b := range testBatches {
+				xs := randInputs(rng, b*sh.inputs)
+				ts := maskTargets(rng, b, m.OutputSize(), sparse)
+				m.ZeroGrad()
+				m.ForwardBatch(xs, b)
+				m.BackwardBatch(ts, b)
+				ref.ZeroGrad()
+				out := ref.OutputSize()
+				for r := 0; r < b; r++ {
+					ref.ForwardRef(xs[r*sh.inputs : (r+1)*sh.inputs])
+					ref.BackwardRef(ts[r*out : (r+1)*out])
+				}
+				checkGradsEqual(t, fmt.Sprintf("%s sparse=%v b=%d go-kernel", sh.name, sparse, b), m, ref)
+			}
+		}
+	}
+}
+
+// TestAdamVectorMatchesScalar runs adam with the AVX2 kernel and with the
+// scalar loop alone on identical state, over lengths around the 4-lane
+// boundary and the paper net's first layer (175×334), for several steps:
+// weights and both moments must agree bit for bit, and every gradient
+// must be zero afterwards.
+func TestAdamVectorMatchesScalar(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no vector kernel on this machine")
+	}
+	type state struct{ w, g, mo, ve []float64 }
+	rng := xrand.New(17)
+	for _, n := range []int{1, 3, 4, 5, 58450} {
+		var vec, sc state
+		for _, p := range []*state{&vec, &sc} {
+			p.w, p.g = make([]float64, n), make([]float64, n)
+			p.mo, p.ve = make([]float64, n), make([]float64, n)
+		}
+		for i := 0; i < n; i++ {
+			vec.w[i] = rng.Float64()*2 - 1
+		}
+		copy(sc.w, vec.w)
+		for step := 1; step <= 3; step++ {
+			for i := 0; i < n; i++ {
+				g := (rng.Float64()*2 - 1) * math.Pow(10, float64(rng.Uint64n(9))-6)
+				if rng.Uint64n(8) == 0 {
+					g = 0
+				}
+				vec.g[i], sc.g[i] = g, g
+			}
+			bc1 := 1 - math.Pow(adamBeta1, float64(step))
+			bc2 := 1 - math.Pow(adamBeta2, float64(step))
+			adam(vec.w, vec.g, vec.mo, vec.ve, 1e-3, 1.0/32, bc1, bc2)
+			useAVX2 = false
+			adam(sc.w, sc.g, sc.mo, sc.ve, 1e-3, 1.0/32, bc1, bc2)
+			useAVX2 = true
+			for i := 0; i < n; i++ {
+				for _, c := range []struct {
+					name      string
+					got, want float64
+				}{{"w", vec.w[i], sc.w[i]}, {"m", vec.mo[i], sc.mo[i]}, {"v", vec.ve[i], sc.ve[i]}} {
+					if !bitsEqual(c.got, c.want) {
+						t.Fatalf("n=%d step %d %s[%d]: avx2 %x scalar %x",
+							n, step, c.name, i, math.Float64bits(c.got), math.Float64bits(c.want))
+					}
+				}
+				if math.Float64bits(vec.g[i]) != 0 || math.Float64bits(sc.g[i]) != 0 {
+					t.Fatalf("n=%d step %d g[%d] not cleared: avx2 %v scalar %v", n, step, i, vec.g[i], sc.g[i])
 				}
 			}
 		}

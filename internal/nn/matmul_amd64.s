@@ -1,9 +1,14 @@
-// AVX2 kernel for the batched forward pass. Bit-identity contract: every
-// (row, output) accumulator is one vector lane that starts at the bias
-// and adds x[k]*w[k] terms in strictly ascending k with separate VMULPD
-// and VADDPD instructions — the same IEEE-754 operations in the same
-// order as the scalar reference. No FMA: fusing would drop the
-// intermediate rounding step and change results in the last ulp.
+// AVX2 kernels for the batched forward pass, the weight-gradient
+// accumulation and the Adam update. Bit-identity contract: every vector
+// lane performs exactly the IEEE-754 operations of the scalar Go code, in
+// the same order. In the forward kernel a lane is one (row, output)
+// accumulator that starts at the bias and adds x[k]*w[k] terms in
+// strictly ascending k; in the gradient kernel a lane is one gradient
+// cell that adds its samples in ascending order; in the Adam kernel a
+// lane is one parameter. Products and sums are separate VMULPD and VADDPD
+// instructions, never FMA: fusing would drop the intermediate rounding
+// step and change results in the last ulp. VDIVPD and VSQRTPD are
+// correctly rounded, like their scalar counterparts.
 
 #include "textflag.h"
 
@@ -162,5 +167,96 @@ qloop:
 	VMOVDQU Y1, 32(DI)
 	VMOVDQU Y2, 64(DI)
 	VMOVDQU Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func accum4avx2(gw, y0, y1, y2, y3 *float64, n int64, d0, d1, d2, d3 float64)
+//
+// Four gradient cells per iteration: load g[i:i+4], then for s = 0..3 a
+// VMULPD of ds by ys[i:i+4] and a VADDPD into the running cells, then
+// store. Each cell's chain is g + d0*y0 + d1*y1 + d2*y2 + d3*y3, left to
+// right. Iterations touch disjoint cells, so the out-of-order core
+// overlaps them without reordering any chain.
+TEXT ·accum4avx2(SB), NOSPLIT, $0-80
+	MOVQ         gw+0(FP), DI
+	MOVQ         y0+8(FP), R8
+	MOVQ         y1+16(FP), R9
+	MOVQ         y2+24(FP), R10
+	MOVQ         y3+32(FP), R11
+	MOVQ         n+40(FP), CX
+	VBROADCASTSD d0+48(FP), Y4
+	VBROADCASTSD d1+56(FP), Y5
+	VBROADCASTSD d2+64(FP), Y6
+	VBROADCASTSD d3+72(FP), Y7
+	XORQ         AX, AX
+
+gloop:
+	VMOVUPD (DI)(AX*8), Y0
+	VMULPD  (R8)(AX*8), Y4, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  (R9)(AX*8), Y5, Y2
+	VADDPD  Y2, Y0, Y0
+	VMULPD  (R10)(AX*8), Y6, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  (R11)(AX*8), Y7, Y2
+	VADDPD  Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     gloop
+	VZEROUPPER
+	RET
+
+// func adamAVX2(w, grad, mo, ve *float64, n int64, lr, inv, bc1, bc2, b1, c1, b2, c2, eps float64)
+//
+// Per lane, as in adam's scalar loop:
+//   gi = g*inv; g = 0
+//   mo = b1*mo + c1*gi
+//   ve = b2*ve + (c2*gi)*gi
+//   w  = w - (lr*(mo/bc1)) / (sqrt(ve/bc2) + eps)
+// The nine scalars are broadcast once into Y7..Y15.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-112
+	MOVQ         w+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         mo+16(FP), DX
+	MOVQ         ve+24(FP), R8
+	MOVQ         n+32(FP), CX
+	VBROADCASTSD lr+40(FP), Y7
+	VBROADCASTSD inv+48(FP), Y8
+	VBROADCASTSD bc1+56(FP), Y9
+	VBROADCASTSD bc2+64(FP), Y10
+	VBROADCASTSD b1+72(FP), Y11
+	VBROADCASTSD c1+80(FP), Y12
+	VBROADCASTSD b2+88(FP), Y13
+	VBROADCASTSD c2+96(FP), Y14
+	VBROADCASTSD eps+104(FP), Y15
+	VXORPD       Y6, Y6, Y6
+	XORQ         AX, AX
+
+aloop:
+	VMOVUPD (SI)(AX*8), Y0
+	VMULPD  Y8, Y0, Y0
+	VMOVUPD Y6, (SI)(AX*8)
+	VMULPD  (DX)(AX*8), Y11, Y1
+	VMULPD  Y12, Y0, Y2
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (DX)(AX*8)
+	VMULPD  (R8)(AX*8), Y13, Y3
+	VMULPD  Y14, Y0, Y2
+	VMULPD  Y0, Y2, Y2
+	VADDPD  Y2, Y3, Y3
+	VMOVUPD Y3, (R8)(AX*8)
+	VDIVPD  Y9, Y1, Y1
+	VMULPD  Y7, Y1, Y1
+	VDIVPD  Y10, Y3, Y3
+	VSQRTPD Y3, Y3
+	VADDPD  Y15, Y3, Y3
+	VDIVPD  Y3, Y1, Y1
+	VMOVUPD (DI)(AX*8), Y4
+	VSUBPD  Y1, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     aloop
 	VZEROUPPER
 	RET

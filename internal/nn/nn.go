@@ -292,7 +292,8 @@ const (
 )
 
 // AdamStep applies one Adam update with the given learning rate over the
-// accumulated (batch-averaged) gradients, then clears them.
+// accumulated (batch-averaged) gradients, clearing them as it consumes
+// them.
 func (m *MLP) AdamStep(lr float64, batch int) {
 	if batch < 1 {
 		batch = 1
@@ -305,12 +306,26 @@ func (m *MLP) AdamStep(lr float64, batch int) {
 		adam(l.w, l.gw, l.mw, l.vw, lr, inv, bc1, bc2)
 		adam(l.b, l.gb, l.mb, l.vb, lr, inv, bc1, bc2)
 	}
-	m.ZeroGrad()
 }
 
+// adam updates parameters w from gradients g and moments mo/ve, and sets
+// every g[i] to zero. With AVX2 the 4-aligned prefix runs in adamAVX2,
+// which performs the loop's operations in the same order; the constants
+// (1-adamBeta1) and (1-adamBeta2) are folded exactly at compile time and
+// rounded once, so the kernel gets them as float64 values rather than
+// computing 1-0.9 at run time.
 func adam(w, g, mo, ve []float64, lr, inv, bc1, bc2 float64) {
-	for i := range w {
+	n := len(w)
+	g, mo, ve = g[:n], mo[:n], ve[:n]
+	i := 0
+	if useAVX2 && n >= 4 {
+		i = n &^ 3
+		adamAVX2(&w[0], &g[0], &mo[0], &ve[0], int64(i),
+			lr, inv, bc1, bc2, adamBeta1, 1-adamBeta1, adamBeta2, 1-adamBeta2, adamEps)
+	}
+	for ; i < n; i++ {
 		gi := g[i] * inv
+		g[i] = 0
 		mo[i] = adamBeta1*mo[i] + (1-adamBeta1)*gi
 		ve[i] = adamBeta2*ve[i] + (1-adamBeta2)*gi*gi
 		w[i] -= lr * (mo[i] / bc1) / (math.Sqrt(ve[i]/bc2) + adamEps)

@@ -362,7 +362,8 @@ func (a *Agent) trainStep() {
 	for i, tr := range a.batch {
 		copy(a.bstate[i*size:(i+1)*size], tr.State)
 	}
-	a.q.ZeroGrad()
+	// Gradients are already zero: they start that way and AdamStep
+	// clears them as it consumes them.
 	out := a.q.ForwardBatch(a.bstate[:n*size], n)
 	loss := 0.0
 	for i, tr := range a.batch {
