@@ -164,12 +164,24 @@ func TestMergeWindowSnapshots(t *testing.T) {
 
 // TestWindowConcurrent is the -race stress test: writers hammer every
 // Record method across rotating buckets while readers snapshot. The final
-// quiesced snapshot must account for every event still in-window (the
-// window is sized to cover the whole test duration, so nothing ages out).
+// quiesced snapshot must account for every event.
+//
+// The clock is a counter the writers advance by one tick per round, so
+// buckets rotate (40 of them over the test) while the whole run stays
+// inside the 100-bucket window however slowly it executes. On the wall
+// clock with 100,000 one-millisecond buckets, every Snapshot summed all
+// 100,000 slots (about 60 MB) under the window mutex, about 6 ms each
+// under -race; the writers' 160,000 lock acquisitions queued behind the
+// readers' snapshots, and a run stretched past the 100 s window by that
+// starvation then lost its oldest buckets to expiry.
 func TestWindowConcurrent(t *testing.T) {
-	w := NewWindow(WindowConfig{Bucket: time.Millisecond, Buckets: 100_000})
 	const writers = 8
 	const perWriter = 5_000
+	const tick = time.Microsecond
+	var ticks atomic.Int64
+	base := time.Unix(1_000_000, 0)
+	now := func() time.Time { return base.Add(time.Duration(ticks.Load()) * tick) }
+	w := NewWindow(WindowConfig{Bucket: time.Millisecond, Buckets: 100, Now: now})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var snaps atomic.Uint64
@@ -199,6 +211,7 @@ func TestWindowConcurrent(t *testing.T) {
 				w.RecordPut(j%3 == 0)
 				w.RecordEvictions(1)
 				w.RecordLatency(uint64(j))
+				ticks.Add(1)
 			}
 		}(i)
 	}
@@ -217,5 +230,8 @@ func TestWindowConcurrent(t *testing.T) {
 	}
 	if snaps.Load() == 0 {
 		t.Error("reader goroutines never snapshotted")
+	}
+	if covered := time.Duration(sn.CoveredSec * float64(time.Second)); covered < 40*time.Millisecond {
+		t.Errorf("covered %v, want the 40 buckets the clock rotated through", covered)
 	}
 }
