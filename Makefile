@@ -42,9 +42,10 @@ bench:
 bench-hotpath-smoke:
 	$(GO) run ./cmd/benchjson -hotpath -quick -o - > /dev/null
 
-# Regression gate for the batched NN kernels: ForwardBatch at B=8 must be
-# at least 2x faster per sample than the scalar reference (the committed
-# BENCH_hotpath.json records ~5-6x; 2x catches a silent scalar fallback).
+# Regression gate for the NN kernels: ForwardBatch at B=8 must be at
+# least 2x faster per sample than the scalar reference, and the
+# batch-of-one Forward at least 1.5x (the committed BENCH_hotpath.json
+# records larger ratios; the floors catch a silent scalar fallback).
 batch-smoke:
 	$(GO) test -run TestHotpathBatchSpeedupSmoke -count=1 .
 
