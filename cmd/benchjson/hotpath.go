@@ -238,6 +238,33 @@ func runHotpath(quick bool, outPath string) error {
 		rep.Micro = append(rep.Micro, hotpathMicro{Name: "mlp_backward_batch8", NsPerOp: ns, AllocsPerOp: allocs})
 	}
 
+	// One whole agent training step at its default minibatch of 32:
+	// forward, masked backward and Adam update; ns_per_op is per step.
+	{
+		const bs = 32
+		xs := make([]float64, bs*334)
+		for j := range xs {
+			xs[j] = float64(j%13) / 13
+		}
+		targets := make([]float64, bs*16)
+		for j := range targets {
+			targets[j] = math.NaN()
+		}
+		for r := 0; r < bs; r++ {
+			targets[r*16+(r%16)] = 0.25
+		}
+		tm := nn.NewMLP(334, 1, nn.LayerSpec{Units: 175, Act: nn.Tanh}, nn.LayerSpec{Units: 16, Act: nn.Linear})
+		tm.EnsureBatch(bs)
+		step := func() {
+			tm.ForwardBatch(xs, bs)
+			tm.BackwardBatch(targets, bs)
+			tm.AdamStep(1e-3, bs)
+		}
+		ns := timeOp(opBudget, step)
+		allocs := testing.AllocsPerRun(200, step)
+		rep.Micro = append(rep.Micro, hotpathMicro{Name: "mlp_train_step_batch32", NsPerOp: ns, AllocsPerOp: allocs})
+	}
+
 	// Frozen int8 inference (evaluation-only path).
 	q := nn.Quantize(m)
 	quantNS := timeOp(opBudget, func() { q.Forward(x) })

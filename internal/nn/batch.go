@@ -171,11 +171,11 @@ func matmulGo(z, x, w, bias []float64, b, in, out int) {
 	}
 }
 
-// mmEdges runs the parts of a k-band the 4×4 tiles leave out through the
-// 1-row kernel: outputs from out&^3 on in rows below b&^3, and every
-// output of the rows from b&^3 on.
+// mmEdges runs the parts of a k-band the rowTile×colTile tiles leave out
+// through the 1-row kernel: the trailing out%colTile outputs of the rows
+// in full row groups, and every output of the trailing b%rowTile rows.
 func mmEdges(z, x, w, bias []float64, b, k0, kn, in, out int, first bool) {
-	bFull, outFull := b&^3, out&^3
+	bFull, outFull := b&^(rowTile-1), out&^(colTile-1)
 	for r := 0; r < b; r++ {
 		o0 := outFull
 		if r >= bFull {
