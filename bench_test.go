@@ -91,9 +91,6 @@ func writeTableDigests(digests map[string]string) error {
 	for _, id := range ids {
 		fmt.Fprintf(&b, "%s %s\n", id, digests[id])
 	}
-	if err := os.MkdirAll("testdata", 0o755); err != nil {
-		return err
-	}
 	return os.WriteFile(tableDigestsFile, []byte(b.String()), 0o644)
 }
 

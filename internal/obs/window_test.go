@@ -168,12 +168,10 @@ func TestMergeWindowSnapshots(t *testing.T) {
 //
 // The clock is a counter the writers advance by one tick per round, so
 // buckets rotate (40 of them over the test) while the whole run stays
-// inside the 100-bucket window however slowly it executes. On the wall
-// clock with 100,000 one-millisecond buckets, every Snapshot summed all
-// 100,000 slots (about 60 MB) under the window mutex, about 6 ms each
-// under -race; the writers' 160,000 lock acquisitions queued behind the
-// readers' snapshots, and a run stretched past the 100 s window by that
-// starvation then lost its oldest buckets to expiry.
+// inside the 100-bucket window however slowly it executes. On a wall
+// clock the test's speed would decide its outcome: Snapshot sums every
+// slot under the window mutex, so the readers hold up the writers, and a
+// run slower than the window loses its oldest buckets.
 func TestWindowConcurrent(t *testing.T) {
 	const writers = 8
 	const perWriter = 5_000
