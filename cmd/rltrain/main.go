@@ -50,10 +50,12 @@ import (
 )
 
 // ckptKind/ckptVersion identify rltrain's checkpoint payload: a run
-// fingerprint followed by the trainer's serialized state.
+// fingerprint followed by the trainer's serialized state. Version 2 stores
+// cache lines with their age and recency stamps and each set's promotion
+// clock; version 1 stored the eager age and recency counters.
 const (
 	ckptKind    = "rltrain"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 // saveCheckpoint atomically writes the trainer snapshot with the run

@@ -1,0 +1,37 @@
+package main
+
+import (
+	"encoding/binary"
+	"errors"
+	"io"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/checkpoint"
+)
+
+// TestVersion1CheckpointRefused pins the format bump: a checkpoint written
+// before cache lines carried stamps (payload version 1) must be refused
+// with a *checkpoint.MismatchError before any of its payload is decoded.
+func TestVersion1CheckpointRefused(t *testing.T) {
+	const fingerprint = "workload=429.mcf"
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	err := checkpoint.Save(path, ckptKind, 1, func(w io.Writer) error {
+		if err := binary.Write(w, binary.LittleEndian, uint64(len(fingerprint))); err != nil {
+			return err
+		}
+		_, err := io.WriteString(w, fingerprint)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = loadCheckpoint(path, fingerprint, nil)
+	var mm *checkpoint.MismatchError
+	if !errors.As(err, &mm) {
+		t.Fatalf("loading a version-1 checkpoint: got %v, want *checkpoint.MismatchError", err)
+	}
+	if mm.GotVers != 1 || mm.WantVersion != ckptVersion {
+		t.Fatalf("mismatch reports version %d, want %d (current %d)", mm.GotVers, 1, ckptVersion)
+	}
+}

@@ -189,9 +189,10 @@ func CollectVictimStats(cfg cache.Config, pol policy.Policy, accesses []trace.Ac
 		if !res.Evicted {
 			continue
 		}
-		v := res.Victim
+		v := &res.Victim
+		set := sim.Cache().Set(res.SetIdx)
 		victims++
-		ages[v.LastAccessType].Add(float64(v.AgeSinceAccess))
+		ages[v.LastAccessType].Add(float64(set.AgeSinceAccess(v)))
 		switch {
 		case v.HitsSinceInsert == 0:
 			hits0++
@@ -200,7 +201,7 @@ func CollectVictimStats(cfg cache.Config, pol policy.Policy, accesses []trace.Ac
 		default:
 			hitsN++
 		}
-		recency[int(v.Recency)]++
+		recency[set.Recency(v)]++
 	}
 	var out VictimStats
 	out.Victims = victims

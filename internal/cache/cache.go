@@ -6,11 +6,19 @@
 // counters, hits since insertion, recency, dirty bit, last access type), and
 // every set carries the set-level counters (total accesses, accesses since
 // the last miss). These are exactly the inputs the RL agent consumes and the
-// statistics the insight analyses of §III-B aggregate. Replacement policies
-// that would be implemented with their own dedicated hardware state (e.g.
-// RLR's quantized 2-bit age counters) deliberately do NOT read this
-// metadata; they maintain their own faithful-width state and use this
-// container only for tags and victim mechanics.
+// statistics the insight analyses of §III-B aggregate.
+//
+// A line's ages and recency are not stored as counters: the line keeps the
+// set's access count at its insertion and last access, and the set's
+// promotion clock at its last promotion, and the Set methods AgeSinceInsert,
+// AgeSinceAccess, Recency and LRUWay derive the Table II values from those
+// stamps. An access therefore writes only the line it touches, never the
+// rest of its set.
+//
+// Replacement policies that would be implemented with their own dedicated
+// hardware state (e.g. RLR's quantized 2-bit age counters) deliberately do
+// NOT read this metadata; they maintain their own faithful-width state and
+// use this container only for tags and victim mechanics.
 package cache
 
 import (
@@ -38,11 +46,10 @@ func (c Config) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache: Ways must be positive, got %d", c.Ways)
 	}
-	// Line.Recency is a uint8 holding a permutation of 0..Ways-1; a wider
-	// set would silently truncate recency values (promote narrows ways-1 to
-	// uint8) and break every recency-reading policy.
+	// Recency ranks 0..Ways-1 are reported in 8 bits (the victim recency
+	// of obs.CacheEvent); a wider set would silently truncate them.
 	if c.Ways > 256 {
-		return fmt.Errorf("cache: Ways must fit the 8-bit recency counter (<= 256), got %d", c.Ways)
+		return fmt.Errorf("cache: Ways must fit the 8-bit recency rank (<= 256), got %d", c.Ways)
 	}
 	if c.LineSize == 0 || !mathx.IsPow2(c.LineSize) {
 		return fmt.Errorf("cache: LineSize must be a positive power of two, got %d", c.LineSize)
@@ -55,28 +62,32 @@ func (c Config) SizeBytes() uint64 {
 	return uint64(c.Sets) * uint64(c.Ways) * c.LineSize
 }
 
-// Line is one cache line plus its Table II metadata. All "age"-like counters
-// are measured in set accesses, matching the paper's definitions.
+// Line is one cache line plus its Table II metadata. All "age"-like values
+// are measured in set accesses, matching the paper's definitions; the ages
+// and the recency rank are derived from the stamps by the Set methods. The
+// fields are ordered widest first so a Line packs into 88 bytes.
 type Line struct {
-	Valid bool
-	Dirty bool
-	Tag   uint64 // block address >> log2(sets) — unique within a set
-	Block uint64 // full block address (byte address >> log2(lineSize))
+	Tag      uint64 // block address >> log2(sets) — unique within a set
+	Block    uint64 // full block address (byte address >> log2(lineSize))
+	InsertPC uint64 // PC of the inserting access (for PC-based policies)
+	LastPC   uint64 // PC of the most recent access
 
-	// Table II per-line features.
-	Preuse          uint32           // set accesses between the last two accesses of this line
-	AgeSinceInsert  uint32           // set accesses since the line was inserted
-	AgeSinceAccess  uint32           // set accesses since the line was last accessed
-	LastAccessType  trace.AccessType // type of the line's most recent access
-	LoadCount       uint32           // number of LD accesses to this line since insertion
-	RFOCount        uint32           // number of RFO accesses since insertion
-	PrefetchCount   uint32           // number of PF accesses since insertion
-	WritebackCount  uint32           // number of WB accesses since insertion
-	HitsSinceInsert uint32           // hits since insertion
-	Recency         uint8            // 0 = least recently used … Ways-1 = most recently used
-	Core            uint8            // core that inserted / last accessed the line
-	InsertPC        uint64           // PC of the inserting access (for PC-based policies)
-	LastPC          uint64           // PC of the most recent access
+	InsertedAt uint64 // the set's Accesses when the line was inserted
+	AccessedAt uint64 // the set's Accesses at the line's most recent access
+	TouchedAt  uint64 // the set's Clock at the line's last promotion (higher = more recent)
+
+	// Table II per-line counters.
+	Preuse          uint32 // set accesses between the last two accesses of this line
+	LoadCount       uint32 // number of LD accesses to this line since insertion
+	RFOCount        uint32 // number of RFO accesses since insertion
+	PrefetchCount   uint32 // number of PF accesses since insertion
+	WritebackCount  uint32 // number of WB accesses since insertion
+	HitsSinceInsert uint32 // hits since insertion
+
+	Valid          bool
+	Dirty          bool
+	LastAccessType trace.AccessType // type of the line's most recent access
+	Core           uint8            // core that inserted / last accessed the line
 }
 
 // Set is one cache set with its set-level counters.
@@ -85,6 +96,50 @@ type Set struct {
 	Accesses          uint64 // total accesses to this set
 	AccessesSinceMiss uint64 // accesses since the last miss to this set
 	Misses            uint64 // total misses to this set
+	Clock             uint64 // promotion clock: the next TouchedAt to hand out
+}
+
+// saturate clamps a stamp difference to the 32-bit width of the Table II
+// age counters, which saturate rather than wrap.
+func saturate(d uint64) uint32 {
+	if d > uint64(counterMax) {
+		return counterMax
+	}
+	return uint32(d)
+}
+
+// AgeSinceInsert returns the set accesses since ln was inserted, saturating
+// at 2^32-1. ln is a line of s, or a victim copy read before s's next
+// access.
+func (s *Set) AgeSinceInsert(ln *Line) uint32 { return saturate(s.Accesses - ln.InsertedAt) }
+
+// AgeSinceAccess returns the set accesses since ln was last accessed,
+// saturating at 2^32-1, with the same aliasing rule as AgeSinceInsert.
+func (s *Set) AgeSinceAccess(ln *Line) uint32 { return saturate(s.Accesses - ln.AccessedAt) }
+
+// Recency returns ln's position in the set's recency order: 0 = least
+// recently used … Ways-1 = most recently used. The order runs over every
+// way, valid or not. A victim copy keeps its rank until s's next access:
+// the fill that replaced it took a newer stamp than every other line.
+func (s *Set) Recency(ln *Line) int {
+	r := 0
+	for w := range s.Lines {
+		if s.Lines[w].TouchedAt < ln.TouchedAt {
+			r++
+		}
+	}
+	return r
+}
+
+// LRUWay returns the least recently used way of the set, valid or not.
+func (s *Set) LRUWay() int {
+	best, bestAt := 0, s.Lines[0].TouchedAt
+	for w := 1; w < len(s.Lines); w++ {
+		if at := s.Lines[w].TouchedAt; at < bestAt {
+			best, bestAt = w, at
+		}
+	}
+	return best
 }
 
 // Cache is a single set-associative cache. It implements only content and
@@ -94,12 +149,14 @@ type Cache struct {
 	cfg        Config
 	sets       []Set
 	setShift   uint // log2(lineSize)
+	tagShift   uint // log2(lineSize) + log2(sets)
 	setMask    uint64
 	lineEvents EvictFunc
 }
 
 // EvictFunc observes evictions: the set index, way, and a copy of the line
-// as it was at eviction time. Analyses use this to build the Figure 5/6/7
+// as it was at eviction time (its ages and recency read against the set
+// until the set's next access). Analyses use this to build the Figure 5/6/7
 // victim statistics.
 type EvictFunc func(setIdx uint32, way int, victim Line)
 
@@ -113,13 +170,16 @@ func New(cfg Config) *Cache {
 		cfg:      cfg,
 		sets:     make([]Set, cfg.Sets),
 		setShift: uint(mathx.ILog2(cfg.LineSize)),
+		tagShift: uint(mathx.ILog2(cfg.LineSize) + mathx.ILog2(uint64(cfg.Sets))),
 		setMask:  uint64(cfg.Sets - 1),
 	}
 	for i := range c.sets {
-		c.sets[i].Lines = make([]Line, cfg.Ways)
-		for w := range c.sets[i].Lines {
-			c.sets[i].Lines[w].Recency = uint8(w) // arbitrary initial total order
+		s := &c.sets[i]
+		s.Lines = make([]Line, cfg.Ways)
+		for w := range s.Lines {
+			s.Lines[w].TouchedAt = uint64(w) // arbitrary initial total order
 		}
+		s.Clock = uint64(cfg.Ways)
 	}
 	return c
 }
@@ -141,7 +201,7 @@ func (c *Cache) SetIndex(addr uint64) uint32 {
 
 // tagOf returns the within-set tag of a byte address.
 func (c *Cache) tagOf(addr uint64) uint64 {
-	return (addr >> c.setShift) >> uint(mathx.ILog2(uint64(c.cfg.Sets)))
+	return addr >> c.tagShift
 }
 
 // Set returns the set at index idx. The returned pointer aliases internal
@@ -170,45 +230,27 @@ func satInc(v *uint32) {
 	}
 }
 
-// touchSet applies the per-access set bookkeeping: every resident line ages
-// by one set access, and the set counters advance.
-func (c *Cache) touchSet(s *Set) {
-	s.Accesses++
-	for w := range s.Lines {
-		if s.Lines[w].Valid {
-			satInc(&s.Lines[w].AgeSinceInsert)
-			satInc(&s.Lines[w].AgeSinceAccess)
-		}
-	}
-}
-
-// promote makes way the most recently used line in the set, shifting down
-// the recency of every line that was above it.
-func (s *Set) promote(way int, ways int) {
-	old := s.Lines[way].Recency
-	for w := range s.Lines {
-		if s.Lines[w].Recency > old {
-			s.Lines[w].Recency--
-		}
-	}
-	s.Lines[way].Recency = uint8(ways - 1)
+// promote makes ln the most recently used line of s.
+func (s *Set) promote(ln *Line) {
+	ln.TouchedAt = s.Clock
+	s.Clock++
 }
 
 // RecordHit applies the full metadata protocol for a hit of access a at
-// (setIdx, way): ages advance for the whole set, the hit line's preuse is
-// captured from its age counter, its counters and recency update. It
-// returns the preuse distance observed on this hit (the value the RLR RD
-// predictor accumulates on demand hits).
+// (setIdx, way): the set's access count advances, the hit line's preuse is
+// captured from its age since last access, its counters and recency
+// update. It writes no other line. It returns the preuse distance observed
+// on this hit (the value the RLR RD predictor accumulates on demand hits).
 func (c *Cache) RecordHit(setIdx uint32, way int, a trace.Access) (preuse uint32) {
 	s := &c.sets[setIdx]
-	c.touchSet(s)
+	s.Accesses++
 	s.AccessesSinceMiss++
 	ln := &s.Lines[way]
-	// AgeSinceAccess was just incremented by touchSet; the paper counts the
-	// accesses *between* the two accesses, which excludes this one.
-	preuse = ln.AgeSinceAccess - 1
+	// The age counts this access too; the paper counts the accesses
+	// *between* the two accesses, which excludes it.
+	preuse = s.AgeSinceAccess(ln) - 1
 	ln.Preuse = preuse
-	ln.AgeSinceAccess = 0
+	ln.AccessedAt = s.Accesses
 	satInc(&ln.HitsSinceInsert)
 	ln.LastAccessType = a.Type
 	ln.LastPC = a.PC
@@ -226,17 +268,17 @@ func (c *Cache) RecordHit(setIdx uint32, way int, a trace.Access) (preuse uint32
 	if a.Type == trace.RFO || a.Type == trace.Writeback {
 		ln.Dirty = true
 	}
-	s.promote(way, c.cfg.Ways)
+	s.promote(ln)
 	return preuse
 }
 
-// RecordMissTouch applies the set-level bookkeeping for a miss (ages
-// advance, accesses-since-miss resets) without filling anything. Call it
-// exactly once per miss, before victim selection, whether or not the miss
-// is ultimately bypassed.
+// RecordMissTouch applies the set-level bookkeeping for a miss (the access
+// count advances, accesses-since-miss resets) without filling anything.
+// Call it exactly once per miss, before victim selection, whether or not
+// the miss is ultimately bypassed.
 func (c *Cache) RecordMissTouch(setIdx uint32) {
 	s := &c.sets[setIdx]
-	c.touchSet(s)
+	s.Accesses++
 	s.AccessesSinceMiss = 0
 	s.Misses++
 }
@@ -261,18 +303,18 @@ func (c *Cache) Fill(setIdx uint32, way int, a trace.Access) (victim Line) {
 	if victim.Valid && c.lineEvents != nil {
 		c.lineEvents(setIdx, way, victim)
 	}
-	blk := c.BlockAddr(a.Addr)
-	ln := Line{
-		Valid:          true,
-		Tag:            c.tagOf(a.Addr),
-		Block:          blk,
-		Dirty:          a.Type == trace.RFO || a.Type == trace.Writeback,
-		LastAccessType: a.Type,
-		Core:           a.Core,
-		InsertPC:       a.PC,
-		LastPC:         a.PC,
-		Recency:        s.Lines[way].Recency, // placeholder; promote fixes it
-	}
+	// Clear, then set field by field: a composite literal would be built
+	// in a temporary and copied over the line.
+	ln := &s.Lines[way]
+	*ln = Line{}
+	ln.Valid = true
+	ln.Tag = c.tagOf(a.Addr)
+	ln.Block = c.BlockAddr(a.Addr)
+	ln.Dirty = a.Type == trace.RFO || a.Type == trace.Writeback
+	ln.LastAccessType = a.Type
+	ln.Core = a.Core
+	ln.InsertPC, ln.LastPC = a.PC, a.PC
+	ln.InsertedAt, ln.AccessedAt = s.Accesses, s.Accesses
 	switch a.Type {
 	case trace.Load:
 		ln.LoadCount = 1
@@ -283,8 +325,7 @@ func (c *Cache) Fill(setIdx uint32, way int, a trace.Access) (victim Line) {
 	case trace.Writeback:
 		ln.WritebackCount = 1
 	}
-	s.Lines[way] = ln
-	s.promote(way, c.cfg.Ways)
+	s.promote(ln)
 	return victim
 }
 
@@ -302,8 +343,8 @@ func (c *Cache) Invalidate(addr uint64) Line {
 }
 
 // SaveState serializes the cache's complete contents — every line with its
-// Table II metadata plus the per-set counters — so a checkpointed
-// simulation can resume with bit-identical cache state. The geometry itself
+// Table II metadata and stamps plus the per-set counters and clock — so a
+// checkpointed simulation can resume with bit-identical cache state. The geometry itself
 // is not stored; LoadState requires a cache of matching Config.
 func (c *Cache) SaveState(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -323,6 +364,9 @@ func (c *Cache) SaveState(w io.Writer) error {
 			return err
 		}
 		if err := binary.Write(bw, le, s.Misses); err != nil {
+			return err
+		}
+		if err := binary.Write(bw, le, s.Clock); err != nil {
 			return err
 		}
 		if err := binary.Write(bw, le, s.Lines); err != nil {
@@ -358,6 +402,9 @@ func (c *Cache) LoadState(r io.Reader) error {
 			return err
 		}
 		if err := binary.Read(r, le, &s.Misses); err != nil {
+			return err
+		}
+		if err := binary.Read(r, le, &s.Clock); err != nil {
 			return err
 		}
 		if err := binary.Read(r, le, s.Lines); err != nil {

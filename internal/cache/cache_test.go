@@ -116,9 +116,10 @@ func TestHitMetadataProtocol(t *testing.T) {
 	if preuse != 3 {
 		t.Errorf("preuse = %d, want 3", preuse)
 	}
-	ln := &c.Set(set).Lines[0]
-	if ln.AgeSinceAccess != 0 {
-		t.Errorf("AgeSinceAccess after hit = %d, want 0", ln.AgeSinceAccess)
+	s := c.Set(set)
+	ln := &s.Lines[0]
+	if got := s.AgeSinceAccess(ln); got != 0 {
+		t.Errorf("AgeSinceAccess after hit = %d, want 0", got)
 	}
 	if ln.Preuse != 3 {
 		t.Errorf("line.Preuse = %d, want 3", ln.Preuse)
@@ -129,8 +130,8 @@ func TestHitMetadataProtocol(t *testing.T) {
 	if ln.LoadCount != 2 { // fill + hit
 		t.Errorf("LoadCount = %d, want 2", ln.LoadCount)
 	}
-	if ln.AgeSinceInsert != 4 {
-		t.Errorf("AgeSinceInsert = %d, want 4", ln.AgeSinceInsert)
+	if got := s.AgeSinceInsert(ln); got != 4 {
+		t.Errorf("AgeSinceInsert = %d, want 4", got)
 	}
 }
 
@@ -141,19 +142,23 @@ func TestRecencyOrder(t *testing.T) {
 		c.RecordMissTouch(0)
 		c.Fill(0, i, ld(ad))
 	}
+	s := c.Set(0)
 	// After filling 0,1,2,3 in order, recency must be 0,1,2,3.
 	for w := 0; w < 4; w++ {
-		if got := c.Set(0).Lines[w].Recency; got != uint8(w) {
+		if got := s.Recency(&s.Lines[w]); got != w {
 			t.Errorf("way %d recency = %d, want %d", w, got, w)
 		}
 	}
 	// Hit way 0: it becomes MRU (3), the rest shift down.
 	c.RecordHit(0, 0, ld(addrs[0]))
-	want := []uint8{3, 0, 1, 2}
+	want := []int{3, 0, 1, 2}
 	for w := 0; w < 4; w++ {
-		if got := c.Set(0).Lines[w].Recency; got != want[w] {
+		if got := s.Recency(&s.Lines[w]); got != want[w] {
 			t.Errorf("after promote: way %d recency = %d, want %d", w, got, want[w])
 		}
+	}
+	if got := s.LRUWay(); got != 1 {
+		t.Errorf("LRUWay = %d, want 1", got)
 	}
 }
 
@@ -178,11 +183,13 @@ func TestRecencyAlwaysPermutation(t *testing.T) {
 		}
 		for s := uint32(0); s < 2; s++ {
 			seen := [4]bool{}
-			for _, ln := range c.Set(s).Lines {
-				if ln.Recency >= 4 || seen[ln.Recency] {
+			set := c.Set(s)
+			for w := range set.Lines {
+				r := set.Recency(&set.Lines[w])
+				if r >= 4 || seen[r] {
 					return false
 				}
-				seen[ln.Recency] = true
+				seen[r] = true
 			}
 		}
 		return true

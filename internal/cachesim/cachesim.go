@@ -181,9 +181,13 @@ func (s *Simulator) AccessPreuse(addr uint64) uint64 {
 
 // Step processes one access end to end: probe, metadata update, policy
 // notification, and (on a miss) victim selection and fill.
-func (s *Simulator) Step(a trace.Access) StepResult {
+//
+// The result is named so that each return writes it in place: a
+// StepResult carries a whole cache.Line, and copies of it show up in
+// profiles.
+func (s *Simulator) Step(a trace.Access) (res StepResult) {
 	ctx := policy.AccessCtx{Access: a, Seq: s.seq}
-	res := StepResult{Seq: s.seq, AccessPreuse: s.AccessPreuse(a.Addr)}
+	res.Seq, res.AccessPreuse = s.seq, s.AccessPreuse(a.Addr)
 	s.seq++
 
 	setIdx, way, hit := s.c.Probe(a.Addr)
@@ -264,14 +268,17 @@ func (s *Simulator) Step(a trace.Access) StepResult {
 		}
 		return res
 	}
-	victim := s.c.Fill(setIdx, way, a)
+	res.Victim = s.c.Fill(setIdx, way, a)
+	victim := &res.Victim
 	if victim.Valid {
 		s.stats.Evictions++
 		if victim.Dirty {
 			s.stats.DirtyEvictions++
 		}
-		res.Victim, res.Evicted = victim, true
+		res.Evicted = true
 		s.mEvict.Inc()
+	} else {
+		res.Victim = cache.Line{} // the stale contents of an invalid way are no victim
 	}
 	s.p.Update(ctx, set, way, false)
 	res.Way = way
@@ -280,10 +287,10 @@ func (s *Simulator) Step(a trace.Access) StepResult {
 		if victim.Valid {
 			s.ev.VictimBlock = victim.Block
 			s.ev.VictimDirty = victim.Dirty
-			s.ev.VictimAge = victim.AgeSinceInsert
+			s.ev.VictimAge = set.AgeSinceInsert(victim)
 			s.ev.VictimPreuse = victim.Preuse
 			s.ev.VictimHits = victim.HitsSinceInsert
-			s.ev.VictimRecency = victim.Recency
+			s.ev.VictimRecency = uint8(set.Recency(victim))
 			s.ev.VictimLastType = uint8(victim.LastAccessType)
 			s.emit(obs.EvEvict, a, res.Seq, setIdx, way)
 		}

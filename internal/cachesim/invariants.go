@@ -72,8 +72,8 @@ func (s *Simulator) checkVictim(a trace.Access, way int) {
 }
 
 // checkStep audits the completed access: tag placement and uniqueness,
-// recency permutation, bypass provenance, the stats accounting identities,
-// and the policy's own state via its optional InvariantChecker.
+// recency and age stamp ordering, bypass provenance, the stats accounting
+// identities, and the policy's own state via its optional InvariantChecker.
 //
 // rawVictim is what the policy's Victim returned, or victimNotAsked when
 // the access hit or filled an invalid way.
@@ -125,18 +125,31 @@ func (s *Simulator) checkStep(a trace.Access, res StepResult, rawVictim int) {
 		}
 	}
 
-	// Recency is a permutation of 0..ways-1 over all lines (valid or not:
-	// promote maintains the total order across the whole set).
-	var seen [256]bool
+	// Recency stamps are unique and below the set's clock over all lines
+	// (valid or not: the recency order runs across the whole set), so the
+	// derived recency ranks form a permutation of 0..ways-1.
+	for i := range set.Lines {
+		at := set.Lines[i].TouchedAt
+		if at >= set.Clock {
+			s.violate(a, "recency stamp %d at way %d of set %d not below clock %d",
+				at, i, res.SetIdx, set.Clock)
+		}
+		for j := i + 1; j < ways; j++ {
+			if set.Lines[j].TouchedAt == at {
+				s.violate(a, "recency stamp %d duplicated at ways %d and %d of set %d",
+					at, i, j, res.SetIdx)
+			}
+		}
+	}
+
+	// Age stamps are ordered on valid lines: a line is accessed no earlier
+	// than it was inserted, and no later than the set's latest access.
 	for w := range set.Lines {
-		r := set.Lines[w].Recency
-		if int(r) >= ways {
-			s.violate(a, "recency %d at way %d of set %d outside [0, %d)", r, w, res.SetIdx, ways)
+		ln := &set.Lines[w]
+		if ln.Valid && !(ln.InsertedAt <= ln.AccessedAt && ln.AccessedAt <= set.Accesses) {
+			s.violate(a, "age stamps out of order at way %d of set %d: inserted %d, accessed %d, set accesses %d",
+				w, res.SetIdx, ln.InsertedAt, ln.AccessedAt, set.Accesses)
 		}
-		if seen[r] {
-			s.violate(a, "recency %d duplicated in set %d", r, res.SetIdx)
-		}
-		seen[r] = true
 	}
 
 	// Stats accounting identities.

@@ -64,13 +64,24 @@ func (*outOfRangeVictim) Victim(_ policy.AccessCtx, set *cache.Set) int {
 	return len(set.Lines) + 1
 }
 
-// recencyCorruptor clobbers a line's recency on every fill, breaking the
-// 0..ways-1 permutation the framework maintains.
+// recencyCorruptor copies the neighbour's recency stamp onto the filled
+// line, so two lines tie and the derived ranks stop being a permutation
+// of 0..ways-1.
 type recencyCorruptor struct{ policy.LRU }
 
 func (*recencyCorruptor) Update(_ policy.AccessCtx, set *cache.Set, way int, hit bool) {
 	if !hit {
-		set.Lines[way].Recency = 200
+		set.Lines[way].TouchedAt = set.Lines[1-way].TouchedAt
+	}
+}
+
+// ageStampCorruptor stamps the filled line's last access one set access in
+// the future, so its age since last access would underflow.
+type ageStampCorruptor struct{ policy.LRU }
+
+func (*ageStampCorruptor) Update(_ policy.AccessCtx, set *cache.Set, way int, hit bool) {
+	if !hit {
+		set.Lines[way].AccessedAt = set.Accesses + 1
 	}
 }
 
@@ -101,6 +112,10 @@ func TestInvariantCatchesOutOfRangeVictim(t *testing.T) {
 
 func TestInvariantCatchesRecencyCorruption(t *testing.T) {
 	expectViolation(t, &recencyCorruptor{}, "recency")
+}
+
+func TestInvariantCatchesAgeStampDisorder(t *testing.T) {
+	expectViolation(t, &ageStampCorruptor{}, "age stamps out of order")
 }
 
 func TestInvariantCatchesDuplicateTag(t *testing.T) {
@@ -178,7 +193,7 @@ func TestBypassNeverFillsOrPerturbs(t *testing.T) {
 	after := snapshot()
 	for i := range before {
 		if before[i].Tag != after[i].Tag || before[i].Valid != after[i].Valid ||
-			before[i].Recency != after[i].Recency || before[i].Block != after[i].Block {
+			before[i].TouchedAt != after[i].TouchedAt || before[i].Block != after[i].Block {
 			t.Fatalf("bypass perturbed line %d:\nbefore %+v\nafter  %+v", i, before[i], after[i])
 		}
 	}

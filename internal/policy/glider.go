@@ -125,7 +125,7 @@ func (p *Glider) Victim(ctx AccessCtx, set *cache.Set) int {
 	}
 	best, bestAge := 0, uint32(0)
 	for w := range set.Lines {
-		if a := set.Lines[w].AgeSinceInsert; a >= bestAge {
+		if a := set.AgeSinceInsert(&set.Lines[w]); a >= bestAge {
 			best, bestAge = w, a
 		}
 	}

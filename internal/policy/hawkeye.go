@@ -161,7 +161,7 @@ func (p *Hawkeye) Victim(ctx AccessCtx, set *cache.Set) int {
 	// aging; ties break to the line with the greatest age).
 	best, bestAge := 0, uint32(0)
 	for w := range set.Lines {
-		if a := set.Lines[w].AgeSinceInsert; a >= bestAge {
+		if a := set.AgeSinceInsert(&set.Lines[w]); a >= bestAge {
 			best, bestAge = w, a
 		}
 	}

@@ -24,7 +24,7 @@ func (*LRU) Name() string { return "lru" }
 func (*LRU) Init(Config) {}
 
 // Victim implements Policy: the line with recency 0 is evicted.
-func (*LRU) Victim(_ AccessCtx, set *cache.Set) int { return lruWay(set) }
+func (*LRU) Victim(_ AccessCtx, set *cache.Set) int { return set.LRUWay() }
 
 // Update implements Policy. The framework's recency maintenance is the
 // entire policy, so there is nothing to do.
@@ -43,10 +43,10 @@ func (*MRU) Init(Config) {}
 
 // Victim implements Policy.
 func (*MRU) Victim(_ AccessCtx, set *cache.Set) int {
-	best, bestRec := 0, -1
-	for w := range set.Lines {
-		if r := int(set.Lines[w].Recency); r > bestRec {
-			best, bestRec = w, r
+	best := 0
+	for w := 1; w < len(set.Lines); w++ {
+		if set.Lines[w].TouchedAt > set.Lines[best].TouchedAt {
+			best = w
 		}
 	}
 	return best

@@ -108,21 +108,6 @@ func Names() []string {
 	return names
 }
 
-// lruWay returns the way with the lowest recency (the LRU line) in a full
-// set. Several policies use LRU as their final tie-break. The comparison
-// stays in the recency counter's own unsigned width — no narrowing
-// conversion to int — so a recency value near the top of its range can
-// never wrap into a spuriously small key and steal the victim slot.
-func lruWay(set *cache.Set) int {
-	best, bestRec := 0, set.Lines[0].Recency
-	for w := 1; w < len(set.Lines); w++ {
-		if r := set.Lines[w].Recency; r < bestRec {
-			best, bestRec = w, r
-		}
-	}
-	return best
-}
-
 // InvariantChecker is optionally implemented by policies that can audit
 // their own internal state. CheckInvariants returns nil when every
 // policy-internal invariant holds (RRPV within its counter width, SHCT and

@@ -1,7 +1,8 @@
 package policy
 
 // Regression tests for the bug sweep: DRRIP leader-set degeneracy on small
-// caches, lruWay's recency-width handling, and saturating-counter bounds.
+// caches, the LRU victim scan's recency-width handling, and
+// saturating-counter bounds.
 // They exercise unexported state directly, so they live inside the package.
 
 import (
@@ -121,26 +122,28 @@ func TestDRRIPFollowerReadsPselMSB(t *testing.T) {
 	}
 }
 
-// TestLRUWayNearMaxRecency pins lruWay (and MRU) on recency values at the
-// top of the uint8 range: a narrowing conversion in the comparison would
-// wrap 255 into a spuriously small key and steal the victim slot.
+// TestLRUWayNearMaxRecency pins Set.LRUWay (and MRU) on recency stamps at the
+// top of the uint64 range: a narrowing or signed conversion in the
+// comparison would wrap the largest stamp into a spuriously small key and
+// steal the victim slot.
 func TestLRUWayNearMaxRecency(t *testing.T) {
+	const top = ^uint64(0)
 	set := &cache.Set{Lines: []cache.Line{
-		{Recency: 254}, {Recency: 255}, {Recency: 127}, {Recency: 128},
+		{TouchedAt: top - 1}, {TouchedAt: top}, {TouchedAt: top>>1 - 1}, {TouchedAt: top>>1 + 1},
 	}}
-	if got := lruWay(set); got != 2 {
-		t.Fatalf("lruWay = %d, want 2 (recency 127)", got)
+	if got := set.LRUWay(); got != 2 {
+		t.Fatalf("LRUWay = %d, want 2 (stamp 2^63-2)", got)
 	}
 	var mru MRU
 	if got := mru.Victim(AccessCtx{}, set); got != 1 {
-		t.Fatalf("MRU victim = %d, want 1 (recency 255)", got)
+		t.Fatalf("MRU victim = %d, want 1 (stamp 2^64-1)", got)
 	}
 	full := &cache.Set{Lines: make([]cache.Line, 256)}
 	for w := range full.Lines {
-		full.Lines[w].Recency = uint8(w)
+		full.Lines[w].TouchedAt = top - 255 + uint64(w)
 	}
-	if got := lruWay(full); got != 0 {
-		t.Fatalf("256-way lruWay = %d, want 0", got)
+	if got := full.LRUWay(); got != 0 {
+		t.Fatalf("256-way LRUWay = %d, want 0", got)
 	}
 	if got := mru.Victim(AccessCtx{}, full); got != 255 {
 		t.Fatalf("256-way MRU victim = %d, want 255", got)
@@ -158,7 +161,7 @@ func TestSHCTSaturation(t *testing.T) {
 	sig := pcSignature(ctx.PC)
 
 	p.Update(ctx, nil, 0, false) // fill records the signature
-	for i := 0; i < 100; i++ {  // re-references train up
+	for i := 0; i < 100; i++ {   // re-references train up
 		p.Update(ctx, nil, 0, true)
 	}
 	if got := p.shct[sig]; got != shctMax {

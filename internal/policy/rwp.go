@@ -56,19 +56,19 @@ func (p *RWP) Victim(ctx AccessCtx, set *cache.Set) int {
 		}
 	}
 	evictDirty := dirty > p.dirtyTarget
-	best, bestRec := -1, int(^uint(0)>>1)
+	best := -1
 	for w := range set.Lines {
 		if set.Lines[w].Dirty != evictDirty {
 			continue
 		}
-		if r := int(set.Lines[w].Recency); r < bestRec {
-			best, bestRec = w, r
+		if best < 0 || set.Lines[w].TouchedAt < set.Lines[best].TouchedAt {
+			best = w
 		}
 	}
 	if best >= 0 {
 		return best
 	}
-	return lruWay(set)
+	return set.LRUWay()
 }
 
 // Update implements Policy.
@@ -78,7 +78,7 @@ func (p *RWP) Update(ctx AccessCtx, set *cache.Set, way int, hit bool) {
 		// Record the read reuse against the line's pre-promotion stack
 		// depth, bucketed by dirtiness: position k means "a partition of
 		// k+1 ways of this kind would have captured this read hit".
-		depth := p.ways - 1 - int(set.Lines[way].Recency)
+		depth := p.ways - 1 - set.Recency(&set.Lines[way])
 		if depth >= 0 && depth < p.ways {
 			if set.Lines[way].Dirty {
 				p.dirtyHits[depth]++

@@ -53,10 +53,10 @@ func (t *Traced) Victim(ctx AccessCtx, set *cache.Set) int {
 			Policy:         t.inner.Name(),
 			VictimBlock:    ln.Block,
 			VictimDirty:    ln.Dirty,
-			VictimAge:      ln.AgeSinceInsert,
+			VictimAge:      set.AgeSinceInsert(ln),
 			VictimPreuse:   ln.Preuse,
 			VictimHits:     ln.HitsSinceInsert,
-			VictimRecency:  ln.Recency,
+			VictimRecency:  uint8(set.Recency(ln)),
 			VictimLastType: uint8(ln.LastAccessType),
 		}
 		t.hook.OnCacheEvent(&t.ev)

@@ -65,9 +65,9 @@ func (*brokenLRU) Name() string { return "broken-lru" }
 
 func (*brokenLRU) Victim(_ policy.AccessCtx, set *cache.Set) int {
 	best, second := -1, -1
-	var bestRec, secondRec uint8
+	var bestRec, secondRec uint64
 	for w := range set.Lines {
-		r := set.Lines[w].Recency
+		r := set.Lines[w].TouchedAt
 		switch {
 		case best < 0 || r < bestRec:
 			second, secondRec = best, bestRec

@@ -197,15 +197,15 @@ func (f *Featurizer) Build(dst []float64, ctx policy.AccessCtx, set *cache.Set, 
 		}
 		put(f.enabled[FLineDirty], dirty)
 		put(f.enabled[FLinePreuse], norm(float64(ln.Preuse), capPreuse))
-		put(f.enabled[FLineAgeInsert], norm(float64(ln.AgeSinceInsert), capAge))
-		put(f.enabled[FLineAgeAccess], norm(float64(ln.AgeSinceAccess), capAge))
+		put(f.enabled[FLineAgeInsert], norm(float64(set.AgeSinceInsert(ln)), capAge))
+		put(f.enabled[FLineAgeAccess], norm(float64(set.AgeSinceAccess(ln)), capAge))
 		oneHot4(f.enabled[FLineLastType], ln.LastAccessType)
 		put(f.enabled[FLineLoadCount], norm(float64(ln.LoadCount), capCount))
 		put(f.enabled[FLineRFOCount], norm(float64(ln.RFOCount), capCount))
 		put(f.enabled[FLinePFCount], norm(float64(ln.PrefetchCount), capCount))
 		put(f.enabled[FLineWBCount], norm(float64(ln.WritebackCount), capCount))
 		put(f.enabled[FLineHits], norm(float64(ln.HitsSinceInsert), capCount))
-		put(f.enabled[FLineRecency], norm(float64(ln.Recency), recencyDen))
+		put(f.enabled[FLineRecency], norm(float64(set.Recency(ln)), recencyDen))
 	}
 	if pos != len(dst) {
 		panic(fmt.Sprintf("rl: featurizer filled %d of %d slots", pos, len(dst)))

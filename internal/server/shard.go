@@ -378,13 +378,12 @@ func (sh *shard) enforceBudget(sp *obs.ActiveSpan) {
 // partially filled) set, or -1 if the set is empty.
 func lruValidWay(set *cache.Set) int {
 	best := -1
-	var bestRec uint8
 	for w := range set.Lines {
 		if !set.Lines[w].Valid {
 			continue
 		}
-		if r := set.Lines[w].Recency; best < 0 || r < bestRec {
-			best, bestRec = w, r
+		if best < 0 || set.Lines[w].TouchedAt < set.Lines[best].TouchedAt {
+			best = w
 		}
 	}
 	return best

@@ -185,17 +185,6 @@ func (t *mshrTable) place(pos uint32, e mshrEntry) {
 	t.index[e.slot].pos = pos
 }
 
-// lruVictim selects the least recently used way of a full set.
-func lruVictim(set *cache.Set) int {
-	best, bestRec := 0, int(^uint(0)>>1)
-	for w := range set.Lines {
-		if r := int(set.Lines[w].Recency); r < bestRec {
-			best, bestRec = w, r
-		}
-	}
-	return best
-}
-
 // LLCStats aggregates LLC behaviour during a timing run.
 type LLCStats struct {
 	Accesses     uint64
@@ -362,7 +351,7 @@ func (h *Hierarchy) fillLevel(core int, l *level, addr, pc uint64, ty trace.Acce
 	l.c.RecordMissTouch(setIdx)
 	way := l.c.InvalidWay(setIdx)
 	if way < 0 {
-		way = lruVictim(l.c.Set(setIdx))
+		way = l.c.Set(setIdx).LRUWay()
 	}
 	victim := l.c.Fill(setIdx, way, a)
 	if victim.Valid && victim.Dirty {
@@ -387,7 +376,7 @@ func (h *Hierarchy) writeback(core int, from *level, victim cache.Line) {
 		l2.c.RecordMissTouch(setIdx)
 		way = l2.c.InvalidWay(setIdx)
 		if way < 0 {
-			way = lruVictim(l2.c.Set(setIdx))
+			way = l2.c.Set(setIdx).LRUWay()
 		}
 		v2 := l2.c.Fill(setIdx, way, a)
 		if v2.Valid && v2.Dirty {
