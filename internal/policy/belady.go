@@ -2,7 +2,6 @@ package policy
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/cache"
 	"repro/internal/trace"
@@ -18,23 +17,25 @@ const NeverUsed = math.MaxUint64
 // (§III-A), mirroring the paper's Python simulator, which looks ahead in
 // the trace for both.
 //
-// Two query paths share the same API. In-order replay (the hot path: a
-// simulator walking the trace with non-decreasing sequence numbers) is
-// served by a precomputed next-use chain plus a per-block cursor, so each
-// query costs one map read with no binary search; NextAfter, for callers
-// that know the access index, is a single array read. Random-access
-// queries (seq behind the cursor) fall back to the original per-block
-// position index with a binary search.
+// Its one data structure is a precomputed next-use chain: next[i] is the
+// index of access i's next same-block reference. NextAfter, for callers
+// that know the access index, is a single chain read. NextUse/NextUseBlock
+// answer for any block from a replay cursor that walks the chain and keeps
+// each block's next reference: a simulator walking the trace with
+// non-decreasing sequence numbers pays one map read per query, amortized.
+// A query behind the cursor rewinds it to the start of the trace and walks
+// forward again, so random-access queries get the same answers but cost
+// O(seq).
 //
 // The cursor makes NextUse/NextUseBlock stateful: an Oracle must not be
 // queried from multiple goroutines concurrently. NextAfter and Len touch
 // only immutable state and remain safe to share.
 type Oracle struct {
-	positions map[uint64][]uint64 // block → sorted access indices (random-access path)
-	next      []uint64            // next[i] = index of access i's next same-block reference, or NeverUsed
-	blocks    []uint64            // blocks[i] = block address of access i
-	shift     uint                // addr >> shift = block address
-	length    uint64
+	next   []uint64 // next[i] = index of access i's next same-block reference, or NeverUsed
+	blocks []uint64 // blocks[i] = block address of access i
+	firsts []uint64 // index of each distinct block's first reference
+	shift  uint     // addr >> shift = block address
+	length uint64
 
 	// Replay cursor: head[b] = index of block b's first reference at or
 	// after pos, or NeverUsed once b's references are all consumed.
@@ -42,9 +43,8 @@ type Oracle struct {
 	head map[uint64]uint64
 }
 
-// NewOracle scans accesses once and indexes every block's reference
-// positions. lineSize must match the cache the trace will be replayed
-// against.
+// NewOracle scans accesses once and builds the next-use chain. lineSize
+// must match the cache the trace will be replayed against.
 func NewOracle(accesses []trace.Access, lineSize uint64) *Oracle {
 	shift := uint(0)
 	for l := lineSize; l > 1; l >>= 1 {
@@ -52,21 +52,18 @@ func NewOracle(accesses []trace.Access, lineSize uint64) *Oracle {
 	}
 	n := len(accesses)
 	o := &Oracle{
-		positions: make(map[uint64][]uint64),
-		next:      make([]uint64, n),
-		blocks:    make([]uint64, n),
-		shift:     shift,
-		length:    uint64(n),
+		next:   make([]uint64, n),
+		blocks: make([]uint64, n),
+		shift:  shift,
+		length: uint64(n),
 	}
 	for i, a := range accesses {
-		b := a.Addr >> shift
-		o.blocks[i] = b
-		o.positions[b] = append(o.positions[b], uint64(i))
+		o.blocks[i] = a.Addr >> shift
 	}
 	// One backward pass builds the chain; the scratch map ends up holding
 	// every block's first occurrence, which is exactly the cursor's initial
 	// head state.
-	head := make(map[uint64]uint64, len(o.positions))
+	head := make(map[uint64]uint64)
 	for i := n - 1; i >= 0; i-- {
 		b := o.blocks[i]
 		if nx, ok := head[b]; ok {
@@ -75,6 +72,10 @@ func NewOracle(accesses []trace.Access, lineSize uint64) *Oracle {
 			o.next[i] = NeverUsed
 		}
 		head[b] = uint64(i)
+	}
+	o.firsts = make([]uint64, 0, len(head))
+	for _, i := range head {
+		o.firsts = append(o.firsts, i)
 	}
 	o.head = head
 	return o
@@ -88,31 +89,20 @@ func (o *Oracle) NextUse(addr uint64, seq uint64) uint64 {
 
 // NextUseBlock is NextUse keyed directly by block address.
 func (o *Oracle) NextUseBlock(block uint64, seq uint64) uint64 {
-	if seq+1 >= o.pos {
-		// In-order replay: consume the trace through seq so head holds each
-		// block's first reference strictly after seq. Amortized O(1) per
-		// trace access regardless of how many queries land on each seq.
-		for o.pos <= seq && o.pos < o.length {
-			o.head[o.blocks[o.pos]] = o.next[o.pos]
-			o.pos++
-		}
-		if h, ok := o.head[block]; ok {
-			return h
-		}
-		return NeverUsed
+	if seq+1 < o.pos {
+		o.ResetReplay() // behind the cursor: rewind and walk forward
 	}
-	return o.nextUseMap(block, seq)
-}
-
-// nextUseMap is the random-access reference path: per-block position list
-// plus binary search. It never touches the replay cursor.
-func (o *Oracle) nextUseMap(block uint64, seq uint64) uint64 {
-	pos := o.positions[block]
-	i := sort.Search(len(pos), func(i int) bool { return pos[i] > seq })
-	if i == len(pos) {
-		return NeverUsed
+	// Consume the trace through seq so head holds each block's first
+	// reference strictly after seq. Amortized O(1) per trace access
+	// regardless of how many queries land on each seq.
+	for o.pos <= seq && o.pos < o.length {
+		o.head[o.blocks[o.pos]] = o.next[o.pos]
+		o.pos++
 	}
-	return pos[i]
+	if h, ok := o.head[block]; ok {
+		return h
+	}
+	return NeverUsed
 }
 
 // NextAfter returns the index of the next reference to the block touched by
@@ -126,12 +116,12 @@ func (o *Oracle) NextAfter(seq uint64) uint64 {
 }
 
 // ResetReplay rewinds the in-order cursor to the start of the trace. Call
-// it before replaying the same trace again (e.g. a new training epoch) so
-// cursor queries stay on the O(1) path.
+// it before replaying the same trace again (e.g. a new training epoch);
+// NextUseBlock also calls it for a query behind the cursor.
 func (o *Oracle) ResetReplay() {
 	o.pos = 0
-	for b, ps := range o.positions {
-		o.head[b] = ps[0]
+	for _, i := range o.firsts {
+		o.head[o.blocks[i]] = i
 	}
 }
 
@@ -260,55 +250,3 @@ func (p *Belady) Victim(ctx AccessCtx, set *cache.Set) int {
 func (p *Belady) Update(ctx AccessCtx, _ *cache.Set, way int, _ bool) {
 	p.nextUse[ctx.SetIdx][way] = p.oracle.NextAfter(ctx.Seq)
 }
-
-// BeladyMapRef is the pre-chain Belady implementation — every victim scan
-// queries the oracle's per-block position map with a binary search. It is
-// retained as the equivalence baseline for the chain-driven Belady (the
-// property tests assert identical statistics) and as the "before" side of
-// the hot-path benchmarks; it is not registered as a named policy.
-type BeladyMapRef struct {
-	oracle      *Oracle
-	AllowBypass bool
-}
-
-// NewBeladyMapRef wraps an oracle in the map-based reference replay.
-func NewBeladyMapRef(o *Oracle) *BeladyMapRef { return &BeladyMapRef{oracle: o} }
-
-// NewBeladyMapRefBypass is NewBeladyMapRef with bypass enabled.
-func NewBeladyMapRefBypass(o *Oracle) *BeladyMapRef {
-	return &BeladyMapRef{oracle: o, AllowBypass: true}
-}
-
-// Name implements Policy.
-func (p *BeladyMapRef) Name() string { return "belady-mapref" }
-
-// Init implements Policy.
-func (p *BeladyMapRef) Init(Config) {
-	if p.oracle == nil {
-		panic("policy: BeladyMapRef requires an Oracle")
-	}
-}
-
-// Victim implements Policy with per-way map+search oracle queries.
-func (p *BeladyMapRef) Victim(ctx AccessCtx, set *cache.Set) int {
-	best, bestNext := 0, uint64(0)
-	for w := range set.Lines {
-		nu := p.oracle.nextUseMap(set.Lines[w].Block, ctx.Seq)
-		if nu > bestNext {
-			best, bestNext = w, nu
-		}
-		if nu == NeverUsed {
-			return w
-		}
-	}
-	if p.AllowBypass {
-		own := p.oracle.nextUseMap(ctx.Addr>>p.oracle.shift, ctx.Seq)
-		if own > bestNext {
-			return Bypass
-		}
-	}
-	return best
-}
-
-// Update implements Policy. BeladyMapRef is stateless beyond the oracle.
-func (*BeladyMapRef) Update(AccessCtx, *cache.Set, int, bool) {}

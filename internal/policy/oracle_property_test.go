@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cachesim"
 	"repro/internal/policy"
+	"repro/internal/refmodel"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -119,7 +120,7 @@ func randomTrace(rng *xrand.Rand, n int) []trace.Access {
 }
 
 // TestBeladyChainMatchesMapRef replays random traces under the chain-driven
-// Belady and the retained map+binary-search reference; every statistic must
+// Belady and the test-only map+binary-search reference; every statistic must
 // be identical, with and without bypass.
 func TestBeladyChainMatchesMapRef(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -146,8 +147,34 @@ func TestBeladyChainMatchesMapRef(t *testing.T) {
 	}
 }
 
-// FuzzOracleChainVsMap cross-checks the two oracle query paths on fuzzed
-// trace shapes and query orders.
+// TestBeladyBypassMatchesMapRef cross-checks the production Belady bypass,
+// the map+binary-search reference and refmodel's forward-scanning MIN on
+// the same uniform-conflict traces: three independent derivations of MIN
+// must report identical statistics.
+func TestBeladyBypassMatchesMapRef(t *testing.T) {
+	cfg := cache.Config{Sets: 8, Ways: 4, LineSize: 64}
+	uniform := refmodel.Classes()[0]
+	pair, ok := refmodel.PairByName("belady-bypass")
+	if uniform.Name != "uniform" || !ok {
+		t.Fatalf("refmodel trace class %q / belady-bypass pair %v: fixtures moved", uniform.Name, ok)
+	}
+	for seed := uint64(0); seed < 4; seed++ {
+		tr := uniform.Gen(seed, 600)
+		chain := cachesim.RunPolicy(cfg, policy.NewBeladyBypass(policy.NewOracle(tr, cfg.LineSize)), tr)
+		mapref := cachesim.RunPolicy(cfg, policy.NewBeladyMapRefBypass(policy.NewOracle(tr, cfg.LineSize)), tr)
+		if chain != mapref {
+			t.Fatalf("seed %d: chain stats %+v != mapref stats %+v", seed, chain, mapref)
+		}
+		if d := refmodel.Diff(pair, cfg, tr); d != nil {
+			t.Fatalf("seed %d: reference disagrees:\n%s", seed, d)
+		}
+	}
+}
+
+// FuzzOracleChainVsMap checks the oracle's cursor queries against a naive
+// forward scan on fuzzed trace shapes and query orders. Its backward jumps
+// exercise the rewind (a query behind the cursor resets it and walks
+// forward again).
 func FuzzOracleChainVsMap(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(42), uint64(7))
@@ -158,13 +185,13 @@ func FuzzOracleChainVsMap(f *testing.F) {
 		for i := range accesses {
 			accesses[i] = trace.Access{Addr: rng.Uint64n(1+seed%40) * 64, Type: trace.Load}
 		}
-		// The oracle takes the queries in a fuzzed order, mixing cursor and
-		// map paths; a naive forward scan is the ground truth.
+		// The oracle takes the queries in a fuzzed order, mixing in-order
+		// steps with rewinds; a naive forward scan is the ground truth.
 		o := policy.NewOracle(accesses, 64)
 		qrng := xrand.New(querySeed)
 		seq := uint64(0)
 		for q := 0; q < 200; q++ {
-			if qrng.Intn(4) == 0 { // jump backwards: random-access path
+			if qrng.Intn(4) == 0 { // jump backwards: the cursor rewinds
 				seq = qrng.Uint64n(uint64(n))
 			} else if seq+1 < uint64(n) && qrng.Intn(2) == 0 {
 				seq++ // in-order step

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/cachesim"
 	"repro/internal/policy"
 	"repro/internal/trace"
 )
@@ -172,24 +171,6 @@ func TestDiffReportsInvariantViolation(t *testing.T) {
 	}
 	if !strings.HasPrefix(d.Reason, "invariant") {
 		t.Fatalf("reason = %q, want an invariant report", d.Reason)
-	}
-}
-
-// TestBeladyBypassMatchesMapRef cross-checks the two production Belady
-// bypass implementations and the reference on the same randomized traces:
-// three independent derivations of MIN must report identical statistics.
-func TestBeladyBypassMatchesMapRef(t *testing.T) {
-	cfg := cache.Config{Sets: 8, Ways: 4, LineSize: 64}
-	for seed := uint64(0); seed < 4; seed++ {
-		tr := genUniform(seed, 600)
-		chain := cachesim.RunPolicy(cfg, policy.NewBeladyBypass(policy.NewOracle(tr, cfg.LineSize)), tr)
-		mapref := cachesim.RunPolicy(cfg, policy.NewBeladyMapRefBypass(policy.NewOracle(tr, cfg.LineSize)), tr)
-		if chain != mapref {
-			t.Fatalf("seed %d: chain stats %+v != mapref stats %+v", seed, chain, mapref)
-		}
-		if d := Diff(Pairs()[8], cfg, tr); d != nil { // belady-bypass pair
-			t.Fatalf("seed %d: reference disagrees:\n%s", seed, d)
-		}
 	}
 }
 
