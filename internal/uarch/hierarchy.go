@@ -367,21 +367,11 @@ func (h *Hierarchy) writeback(core int, from *level, victim cache.Line) {
 		// L1D victim → L2: hit marks dirty, miss allocates (data is a full
 		// line; no fetch needed), possibly cascading.
 		l2 := h.l2[core]
-		setIdx, way, hit := l2.c.Probe(addr)
-		a := trace.Access{Addr: addr, Type: trace.Writeback, Core: uint8(core)}
-		if hit {
-			l2.c.RecordHit(setIdx, way, a)
+		if setIdx, way, hit := l2.c.Probe(addr); hit {
+			l2.c.RecordHit(setIdx, way, trace.Access{Addr: addr, Type: trace.Writeback, Core: uint8(core)})
 			return
 		}
-		l2.c.RecordMissTouch(setIdx)
-		way = l2.c.InvalidWay(setIdx)
-		if way < 0 {
-			way = l2.c.Set(setIdx).LRUWay()
-		}
-		v2 := l2.c.Fill(setIdx, way, a)
-		if v2.Valid && v2.Dirty {
-			h.writeback(core, l2, v2)
-		}
+		h.fillLevel(core, l2, addr, 0, trace.Writeback)
 	case h.l2[core]:
 		// L2 victim → LLC writeback access (the WB type the paper's traces
 		// record). Timing is off the critical path.
