@@ -1,12 +1,11 @@
 // bench_hotpath_test.go measures the per-access hot path: oracle next-use
 // queries, one simulator step, one NN forward/backward pass, and the
-// end-to-end Belady trace replay (chain-driven versus the retained
-// map+binary-search reference). Run
+// end-to-end chain-driven Belady trace replay. Run
 //
 //	go test -bench=Hotpath -benchmem
 //
 // or `make bench`; cmd/benchjson -hotpath emits the same measurements as
-// BENCH_hotpath.json, including the chain-vs-map replay speedup.
+// BENCH_hotpath.json.
 package repro
 
 import (
@@ -73,23 +72,6 @@ func BenchmarkHotpathOracleNextUseChain(b *testing.B) {
 		if seq == 0 {
 			o.ResetReplay()
 		}
-		sink += o.NextUse(accesses[seq].Addr, uint64(seq))
-	}
-	_ = sink
-}
-
-// BenchmarkHotpathOracleNextUseMap measures the retained random-access
-// path: the cursor is parked at the trace end so every query falls back to
-// the per-block position map and binary search.
-func BenchmarkHotpathOracleNextUseMap(b *testing.B) {
-	_, accesses, _ := hotpathSetup()
-	o := policy.NewOracle(accesses, 64)
-	n := len(accesses)
-	o.NextUse(accesses[n-1].Addr, uint64(n-1)) // park the cursor at the end
-	var sink uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seq := i % (n - 2) // strictly behind the cursor: map path
 		sink += o.NextUse(accesses[seq].Addr, uint64(seq))
 	}
 	_ = sink
@@ -272,24 +254,12 @@ func TestHotpathBatchSpeedupSmoke(t *testing.T) {
 }
 
 // BenchmarkHotpathBeladyReplayChain replays the whole trace under the
-// chain-driven Belady — the end-to-end number the ISSUE's ≥2× target is
-// judged on.
+// chain-driven Belady.
 func BenchmarkHotpathBeladyReplayChain(b *testing.B) {
 	cfg, accesses, oracle := hotpathSetup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cachesim.RunPolicy(cfg, policy.NewBelady(oracle), accesses)
-	}
-	b.ReportMetric(float64(len(accesses)), "accesses/replay")
-}
-
-// BenchmarkHotpathBeladyReplayMapRef replays the same trace under the
-// pre-change map+binary-search Belady, the baseline side of the speedup.
-func BenchmarkHotpathBeladyReplayMapRef(b *testing.B) {
-	cfg, accesses, oracle := hotpathSetup()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cachesim.RunPolicy(cfg, policy.NewBeladyMapRef(oracle), accesses)
 	}
 	b.ReportMetric(float64(len(accesses)), "accesses/replay")
 }

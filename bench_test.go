@@ -12,10 +12,7 @@
 //
 //	go test -run '^$' -bench . -benchtime 1x -update .
 //
-// and name the changed experiments in the commit. The BenchmarkCold* pairs at the bottom time cold (memo-cleared) runs at
-// jobs=1 versus jobs=NumCPU to track the parallel engine's speedup;
-// cmd/benchjson writes the same comparison to BENCH_parallel.json, a local
-// output of `make bench-parallel` that is not committed.
+// and name the changed experiments in the commit.
 package repro
 
 import (
@@ -31,7 +28,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -204,32 +200,3 @@ func BenchmarkKPCPInteraction(b *testing.B) { runExperiment(b, "kpcp") }
 
 // BenchmarkMCScale regenerates the 8/16-core scaling table.
 func BenchmarkMCScale(b *testing.B) { runExperiment(b, "mcscale") }
-
-// runExperimentCold times cold runs: the memo caches are cleared every
-// iteration so the full (workload × policy) grid executes, on the given
-// worker count. The Jobs1/JobsMax pairs measure the parallel engine.
-func runExperimentCold(b *testing.B, id string, workers int) {
-	b.Helper()
-	sched.SetWorkers(workers)
-	defer sched.SetWorkers(0)
-	s := experiments.BenchScale()
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCaches()
-		if _, err := experiments.Run(id, s); err != nil {
-			b.Fatalf("experiment %s: %v", id, err)
-		}
-	}
-}
-
-// BenchmarkColdFig10Jobs1 regenerates Figure 10 serially from cold caches.
-func BenchmarkColdFig10Jobs1(b *testing.B) { runExperimentCold(b, "fig10", 1) }
-
-// BenchmarkColdFig10JobsMax regenerates Figure 10 from cold caches with
-// the full worker pool.
-func BenchmarkColdFig10JobsMax(b *testing.B) { runExperimentCold(b, "fig10", runtime.NumCPU()) }
-
-// BenchmarkColdFig13Jobs1 regenerates the 4-core mixes serially.
-func BenchmarkColdFig13Jobs1(b *testing.B) { runExperimentCold(b, "fig13", 1) }
-
-// BenchmarkColdFig13JobsMax regenerates the 4-core mixes on the full pool.
-func BenchmarkColdFig13JobsMax(b *testing.B) { runExperimentCold(b, "fig13", runtime.NumCPU()) }

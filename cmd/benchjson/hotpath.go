@@ -18,11 +18,8 @@ import (
 )
 
 // The -hotpath mode measures the per-access inner loops (oracle query,
-// simulator step, NN forward/backward) and the end-to-end Belady replay
-// under the chain-driven policy versus the retained map+binary-search
-// reference, writing BENCH_hotpath.json. The baseline lives in the same
-// file so the chain speedup is tracked PR over PR; the ISSUE-2 acceptance
-// bar is replay_speedup >= 2.
+// simulator step, NN forward/backward) and the end-to-end chain-driven
+// Belady replay, writing BENCH_hotpath.json.
 
 type hotpathMicro struct {
 	Name        string  `json:"name"`
@@ -31,16 +28,13 @@ type hotpathMicro struct {
 }
 
 type hotpathReport struct {
-	Meta                obs.BuildInfo `json:"meta"` // machine/toolchain attribution
-	TraceLen            int           `json:"trace_len"`
-	Sets                int           `json:"sets"`
-	Ways                int           `json:"ways"`
-	Quick               bool          `json:"quick"`
-	BaselineMS          float64       `json:"baseline_replay_ms"` // belady-mapref, per replay
-	ChainMS             float64       `json:"chain_replay_ms"`    // chain-driven belady, per replay
-	BaselineNsPerAccess float64       `json:"baseline_ns_per_access"`
-	ChainNsPerAccess    float64       `json:"chain_ns_per_access"`
-	ReplaySpeedup       float64       `json:"replay_speedup"`
+	Meta             obs.BuildInfo `json:"meta"` // machine/toolchain attribution
+	TraceLen         int           `json:"trace_len"`
+	Sets             int           `json:"sets"`
+	Ways             int           `json:"ways"`
+	Quick            bool          `json:"quick"`
+	ChainMS          float64       `json:"chain_replay_ms"` // chain-driven belady, per replay
+	ChainNsPerAccess float64       `json:"chain_ns_per_access"`
 	// Batched/quantized NN path, per-sample vs the scalar reference
 	// forward (mlp_forward_ref). The ISSUE-6 acceptance bar is
 	// batch_speedup_32 >= 5.
@@ -107,30 +101,21 @@ func runHotpath(quick bool, outPath string) error {
 
 	rep := hotpathReport{Meta: obs.CollectBuildInfo(), TraceLen: traceLen, Sets: cfg.Sets, Ways: cfg.Ways, Quick: quick}
 
-	// End-to-end Belady replay, chain vs map reference. Both policies use
-	// the shared oracle read-only; best-of-reps suppresses scheduler noise.
-	replay := func(mk func(*policy.Oracle) policy.Policy) float64 {
-		best := time.Duration(1<<62 - 1)
-		for r := 0; r < replayReps; r++ {
-			start := time.Now()
-			cachesim.RunPolicy(cfg, mk(oracle), accesses)
-			if el := time.Since(start); el < best {
-				best = el
-			}
+	// End-to-end Belady replay over the shared oracle's read-only chain;
+	// best-of-reps suppresses scheduler noise.
+	best := time.Duration(1<<62 - 1)
+	for r := 0; r < replayReps; r++ {
+		start := time.Now()
+		cachesim.RunPolicy(cfg, policy.NewBelady(oracle), accesses)
+		if el := time.Since(start); el < best {
+			best = el
 		}
-		return float64(best.Nanoseconds())
 	}
-	chainNS := replay(func(o *policy.Oracle) policy.Policy { return policy.NewBelady(o) })
-	baseNS := replay(func(o *policy.Oracle) policy.Policy { return policy.NewBeladyMapRef(o) })
-	rep.ChainMS = chainNS / 1e6
-	rep.BaselineMS = baseNS / 1e6
-	rep.ChainNsPerAccess = chainNS / float64(traceLen)
-	rep.BaselineNsPerAccess = baseNS / float64(traceLen)
-	if chainNS > 0 {
-		rep.ReplaySpeedup = baseNS / chainNS
-	}
+	rep.ChainMS = float64(best.Nanoseconds()) / 1e6
+	rep.ChainNsPerAccess = float64(best.Nanoseconds()) / float64(traceLen)
 
-	// Oracle query paths.
+	// In-order oracle cursor queries, on a private oracle (the cursor is
+	// stateful).
 	chainOracle := policy.NewOracle(accesses, cfg.LineSize)
 	seq := 0
 	rep.Micro = append(rep.Micro, hotpathMicro{
@@ -141,16 +126,6 @@ func runHotpath(quick bool, outPath string) error {
 			}
 			chainOracle.NextUse(accesses[seq].Addr, uint64(seq))
 			seq = (seq + 1) % traceLen
-		}),
-	})
-	mapOracle := policy.NewOracle(accesses, cfg.LineSize)
-	mapOracle.NextUse(accesses[traceLen-1].Addr, uint64(traceLen-1)) // park cursor at end
-	mseq := 0
-	rep.Micro = append(rep.Micro, hotpathMicro{
-		Name: "oracle_nextuse_map",
-		NsPerOp: timeOp(opBudget, func() {
-			mapOracle.NextUse(accesses[mseq].Addr, uint64(mseq))
-			mseq = (mseq + 1) % (traceLen - 2)
 		}),
 	})
 
@@ -274,23 +249,12 @@ func runHotpath(quick bool, outPath string) error {
 		rep.QuantSpeedup = refNS / quantNS
 	}
 
-	fmt.Fprintf(os.Stderr, "belady replay: chain %.1fms vs mapref %.1fms over %d accesses — %.2fx\n",
-		rep.ChainMS, rep.BaselineMS, traceLen, rep.ReplaySpeedup)
+	fmt.Fprintf(os.Stderr, "belady replay: chain %.1fms over %d accesses\n", rep.ChainMS, traceLen)
 	fmt.Fprintf(os.Stderr, "mlp forward: batch8 %.2fx, batch32 %.2fx, int8 %.2fx per sample vs scalar ref\n",
 		rep.BatchSpeedup8, rep.BatchSpeedup32, rep.QuantSpeedup)
 	for _, mi := range rep.Micro {
 		fmt.Fprintf(os.Stderr, "%-22s %10.1f ns/op  %6.1f allocs/op\n", mi.Name, mi.NsPerOp, mi.AllocsPerOp)
 	}
-	// The 2x bar applies to the full-size run; the quick smoke's trace is
-	// too short to amortize warm-up, so only sanity-check it for >= 1x.
-	bar := 2.0
-	if quick {
-		bar = 1.0
-	}
-	if rep.ReplaySpeedup < bar {
-		fmt.Fprintf(os.Stderr, "WARNING: chain replay speedup %.2fx below the %.0fx bar\n", rep.ReplaySpeedup, bar)
-	}
-
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

@@ -170,8 +170,8 @@ func (m *MLP) Backward(target []float64) {
 }
 
 // ForwardRef is the pre-batching scalar inference path, retained verbatim
-// as the equivalence baseline for the matrix kernels (the BeladyMapRef
-// precedent): one latency-bound dot product per output. Tests assert
+// as the equivalence baseline for the matrix kernels: one latency-bound
+// dot product per output. Tests assert
 // Forward and every ForwardBatch row are bit-identical to it, and the
 // bench harness reports the batched speedup against it.
 func (m *MLP) ForwardRef(x []float64) []float64 {
