@@ -9,7 +9,10 @@
 // workhorse.
 package xrand
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // SplitMix64 is the 64-bit SplitMix generator of Steele, Lea and Flood.
 // It is primarily used to expand a single user seed into the larger state
@@ -165,17 +168,42 @@ func (r *Rand) Geometric(p float64) int {
 // Zipf draws from a bounded Zipf distribution over [0, n) with exponent s,
 // using inverted CDF search over precomputed weights. For hot/cold data
 // footprints this matches the skew of real workloads far better than a
-// uniform draw. Construct once with NewZipf and reuse; sampling is O(log n).
+// uniform draw. The CDF depends only on (n, s), so NewZipf builds it once
+// per process and every Zipf of that shape shares it read-only; each Zipf
+// draws from its own Rand. Sampling is O(log n).
 type Zipf struct {
-	cdf []float64
+	cdf []float64 // shared with every Zipf of the same (n, s); never written
 	r   *Rand
 }
+
+type zipfKey struct {
+	n int
+	s float64
+}
+
+// zipfTables holds every CDF built so far, for the life of the process.
+// Generators are built from many goroutines, so the map is locked; a
+// table is built under the lock, so each shape is built exactly once.
+var (
+	zipfMu     sync.Mutex
+	zipfTables = map[zipfKey][]float64{}
+)
 
 // NewZipf constructs a Zipf sampler over [0, n) with exponent s >= 0, using
 // r as the entropy source. s = 0 degenerates to uniform.
 func NewZipf(r *Rand, n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("xrand: NewZipf with non-positive n")
+	}
+	return &Zipf{cdf: zipfCDF(n, s), r: r}
+}
+
+// zipfCDF returns the shared CDF for (n, s), building it on first use.
+func zipfCDF(n int, s float64) []float64 {
+	zipfMu.Lock()
+	defer zipfMu.Unlock()
+	if cdf, ok := zipfTables[zipfKey{n, s}]; ok {
+		return cdf
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -186,7 +214,8 @@ func NewZipf(r *Rand, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, r: r}
+	zipfTables[zipfKey{n, s}] = cdf
+	return cdf
 }
 
 // Next returns the next Zipf-distributed value in [0, n).
