@@ -25,7 +25,9 @@ const NeverUsed = math.MaxUint64
 // non-decreasing sequence numbers pays one map read per query, amortized.
 // A query behind the cursor rewinds it to the start of the trace and walks
 // forward again, so random-access queries get the same answers but cost
-// O(seq).
+// O(seq). The cursor's map is built on the first cursor query (or
+// ResetReplay/SeekReplay), so an oracle read only through NextAfter, as
+// the Belady policy reads it, never holds one.
 //
 // The cursor makes NextUse/NextUseBlock stateful: an Oracle must not be
 // queried from multiple goroutines concurrently. NextAfter and Len touch
@@ -38,7 +40,8 @@ type Oracle struct {
 	length uint64
 
 	// Replay cursor: head[b] = index of block b's first reference at or
-	// after pos, or NeverUsed once b's references are all consumed.
+	// after pos, or NeverUsed once b's references are all consumed. head
+	// is nil until the first cursor query.
 	pos  uint64
 	head map[uint64]uint64
 }
@@ -61,8 +64,8 @@ func NewOracle(accesses []trace.Access, lineSize uint64) *Oracle {
 		o.blocks[i] = a.Addr >> shift
 	}
 	// One backward pass builds the chain; the scratch map ends up holding
-	// every block's first occurrence, which is exactly the cursor's initial
-	// head state.
+	// every block's first occurrence, which ResetReplay turns back into
+	// the cursor's initial head state.
 	head := make(map[uint64]uint64)
 	for i := n - 1; i >= 0; i-- {
 		b := o.blocks[i]
@@ -77,7 +80,6 @@ func NewOracle(accesses []trace.Access, lineSize uint64) *Oracle {
 	for _, i := range head {
 		o.firsts = append(o.firsts, i)
 	}
-	o.head = head
 	return o
 }
 
@@ -89,7 +91,7 @@ func (o *Oracle) NextUse(addr uint64, seq uint64) uint64 {
 
 // NextUseBlock is NextUse keyed directly by block address.
 func (o *Oracle) NextUseBlock(block uint64, seq uint64) uint64 {
-	if seq+1 < o.pos {
+	if o.head == nil || seq+1 < o.pos {
 		o.ResetReplay() // behind the cursor: rewind and walk forward
 	}
 	// Consume the trace through seq so head holds each block's first
@@ -117,9 +119,13 @@ func (o *Oracle) NextAfter(seq uint64) uint64 {
 
 // ResetReplay rewinds the in-order cursor to the start of the trace. Call
 // it before replaying the same trace again (e.g. a new training epoch);
-// NextUseBlock also calls it for a query behind the cursor.
+// NextUseBlock also calls it for a query behind the cursor, and the first
+// cursor query calls it to build the cursor's map.
 func (o *Oracle) ResetReplay() {
 	o.pos = 0
+	if o.head == nil {
+		o.head = make(map[uint64]uint64, len(o.firsts))
+	}
 	for _, i := range o.firsts {
 		o.head[o.blocks[i]] = i
 	}
@@ -133,7 +139,7 @@ func (o *Oracle) ResetReplay() {
 // cursor that advanced organically to any position <= pos (queries only
 // ever look forward).
 func (o *Oracle) SeekReplay(pos uint64) {
-	if pos < o.pos {
+	if o.head == nil || pos < o.pos {
 		o.ResetReplay()
 	}
 	if pos > o.length {
