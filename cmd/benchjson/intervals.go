@@ -51,21 +51,21 @@ type intervalsPolicyRow struct {
 }
 
 type intervalsWorkload struct {
-	Workload   string `json:"workload"`
-	Accesses   uint64 `json:"accesses"`
-	Windows    int    `json:"windows"`
-	K          int    `json:"k"`
-	Reps       int    `json:"reps"`
-	MeasuredPerPolicy uint64  `json:"measured_per_policy"` // accesses simulated per policy, excl. warmup
-	CoveragePct       float64 `json:"coverage_pct"`        // measured / full
-	FullMS      float64 `json:"full_ms"`      // zoo over the full trace
-	SelectMS    float64 `json:"select_ms"`    // signatures + clustering (once)
-	EvalMS      float64 `json:"eval_ms"`      // zoo over the representatives
-	IntervalsMS float64 `json:"intervals_ms"` // select + eval
-	Speedup     float64 `json:"speedup"`      // full / intervals
-	KendallTau  float64 `json:"kendall_tau"`  // ranking agreement across the zoo
-	MaxAbsErrorPct float64              `json:"max_abs_error_pct"`
-	Policies       []intervalsPolicyRow `json:"policies"`
+	Workload          string               `json:"workload"`
+	Accesses          uint64               `json:"accesses"`
+	Windows           int                  `json:"windows"`
+	K                 int                  `json:"k"`
+	Reps              int                  `json:"reps"`
+	MeasuredPerPolicy uint64               `json:"measured_per_policy"` // accesses simulated per policy, excl. warmup
+	CoveragePct       float64              `json:"coverage_pct"`        // measured / full
+	FullMS            float64              `json:"full_ms"`             // zoo over the full trace
+	SelectMS          float64              `json:"select_ms"`           // signatures + clustering (once)
+	EvalMS            float64              `json:"eval_ms"`             // zoo over the representatives
+	IntervalsMS       float64              `json:"intervals_ms"`        // select + eval
+	Speedup           float64              `json:"speedup"`             // full / intervals
+	KendallTau        float64              `json:"kendall_tau"`         // ranking agreement across the zoo
+	MaxAbsErrorPct    float64              `json:"max_abs_error_pct"`
+	Policies          []intervalsPolicyRow `json:"policies"`
 }
 
 type intervalsReport struct {

@@ -94,10 +94,10 @@ func (s *Server) WindowReport() WindowReport {
 // evictions right now, merged across the per-shard Space-Saving sketches —
 // the live analogue of the paper's §IV victim-feature mining.
 type TopKeysReport struct {
-	Enabled   bool             `json:"enabled"`
-	K         int              `json:"k"`
-	Misses    []obs.TopKEntry  `json:"misses"`
-	Evictions []obs.TopKEntry  `json:"evictions"`
+	Enabled   bool            `json:"enabled"`
+	K         int             `json:"k"`
+	Misses    []obs.TopKEntry `json:"misses"`
+	Evictions []obs.TopKEntry `json:"evictions"`
 }
 
 // TopKeys merges the per-shard sketches (each snapshotted under its shard
