@@ -13,7 +13,9 @@ import (
 // tag duplication, recency corruption, stats identity failure, or a policy
 // self-check error — panics with *InvariantViolation and fails the run.
 // Belady-family policies need an oracle over the exact trace, so the fuzz
-// covers them too by building one per input.
+// covers them too by building one per input. A second simulator that keeps
+// the access-preuse history steps over the same accesses under its own
+// policy instance and must agree on every result and on the final stats.
 func FuzzSimulatorInvariants(f *testing.F) {
 	f.Add([]byte{0, 0, 0}, uint8(0), uint8(0))
 	f.Add([]byte("\x01\x02\x03\x04\x05\x06\x07\x08\x09"), uint8(2), uint8(1))
@@ -47,17 +49,28 @@ func FuzzSimulatorInvariants(f *testing.F) {
 		cfg := geometries[int(geoSel)%len(geometries)]
 		// Alternate between the registry policies and the oracle-backed
 		// Belady variants, which are not registered by name.
-		var p policy.Policy
-		switch sel := int(polSel) % (len(names) + 2); {
-		case sel < len(names):
-			p = policy.MustNew(names[sel])
-		case sel == len(names):
-			p = policy.NewBelady(policy.NewOracle(accesses, cfg.LineSize))
-		default:
-			p = policy.NewBeladyBypass(policy.NewOracle(accesses, cfg.LineSize))
+		newPolicy := func() policy.Policy {
+			switch sel := int(polSel) % (len(names) + 2); {
+			case sel < len(names):
+				return policy.MustNew(names[sel])
+			case sel == len(names):
+				return policy.NewBelady(policy.NewOracle(accesses, cfg.LineSize))
+			default:
+				return policy.NewBeladyBypass(policy.NewOracle(accesses, cfg.LineSize))
+			}
 		}
-		s := New(cfg, 1, p)
+		s := New(cfg, 1, newPolicy())
 		s.EnableInvariants()
-		s.Run(accesses)
+		tracked := New(cfg, 1, newPolicy())
+		tracked.EnableInvariants()
+		tracked.TrackAccessPreuse()
+		for i, a := range accesses {
+			if got, want := tracked.Step(a), s.Step(a); got != want {
+				t.Fatalf("access %d: tracked simulator %+v, untracked %+v", i, got, want)
+			}
+		}
+		if tracked.Stats() != s.Stats() {
+			t.Fatalf("tracked simulator stats %+v, untracked %+v", tracked.Stats(), s.Stats())
+		}
 	})
 }

@@ -126,8 +126,9 @@ func NewAgent(cfg AgentConfig) *Agent {
 }
 
 // SetSim attaches the simulator whose address history provides the
-// access-preuse feature. Call after cachesim.New.
-func (a *Agent) SetSim(sim *cachesim.Simulator) { a.sim = sim }
+// access-preuse feature, and makes it keep that history. Call right after
+// cachesim.New (or after the simulator's LoadState), before its first Step.
+func (a *Agent) SetSim(sim *cachesim.Simulator) { sim.TrackAccessPreuse(); a.sim = sim }
 
 // SetOracle attaches future knowledge for reward computation.
 func (a *Agent) SetOracle(o *policy.Oracle) { a.oracle = o }

@@ -136,6 +136,12 @@ func norm(v, max float64) float64 {
 // Build fills dst with the state vector for the access ctx against set.
 // preuse is the access-preuse distance (cachesim.NeverAccessed when the
 // address is new). dst must have VectorSize elements.
+//
+// The agent reads preuse inside Victim, after the simulator has counted
+// the missing access in its set, so the value it passes is one more than
+// the accesses-between count that the line-preuse feature (Line.Preuse)
+// and the llc_reuse_distance histogram use. Trained models are fitted to
+// that offset; normalizing it away would change every RL result.
 func (f *Featurizer) Build(dst []float64, ctx policy.AccessCtx, set *cache.Set, preuse uint64) {
 	if len(dst) != f.VectorSize() {
 		panic(fmt.Sprintf("rl: state buffer %d, want %d", len(dst), f.VectorSize()))
