@@ -200,3 +200,12 @@ func BenchmarkKPCPInteraction(b *testing.B) { runExperiment(b, "kpcp") }
 
 // BenchmarkMCScale regenerates the 8/16-core scaling table.
 func BenchmarkMCScale(b *testing.B) { runExperiment(b, "mcscale") }
+
+// BenchmarkIntervals regenerates the representative-interval table
+// (full-trace vs selected-interval simulation over the policy zoo, through
+// the frame-replay path).
+func BenchmarkIntervals(b *testing.B) { runExperiment(b, "intervals") }
+
+// BenchmarkQuantGate regenerates the int8 accuracy gate (float vs
+// quantized agent hit rate per training benchmark).
+func BenchmarkQuantGate(b *testing.B) { runExperiment(b, "quantgate") }
