@@ -6,7 +6,7 @@
 //	rlrsim -workload 429.mcf -policy rlr                 # timing run (IPC)
 //	rlrsim -workload 429.mcf -policy rlr,lru,ship        # compare policies in parallel
 //	rlrsim -workload 429.mcf -policy rlr -llc -n 200000  # LLC-only (hit rate)
-//	rlrsim -trace mcf.llc -policy belady                 # replay a trace file
+//	rlrsim -trace mcf.llct -policy belady                # replay a tracegen file
 //	rlrsim -workload 429.mcf -policy rlr -llc \
 //	    -obs-trace jsonl:events.jsonl                    # stream cache events
 //
@@ -38,7 +38,7 @@ import (
 func main() {
 	var (
 		name     = flag.String("workload", "", "workload name (see tracegen -list)")
-		traceF   = flag.String("trace", "", "LLC access trace file to replay (overrides -workload)")
+		traceF   = flag.String("trace", "", "chunked LLC access trace (tracegen output) to replay (overrides -workload)")
 		polList  = flag.String("policy", "rlr", "replacement policy, or a comma-separated list (with -llc/-trace also: belady, rl, rl-int8)")
 		llc      = flag.Bool("llc", false, "run the LLC-only simulator instead of the timing model")
 		n        = flag.Int("n", 200_000, "LLC accesses (-llc)")
@@ -96,18 +96,18 @@ func main() {
 	if *traceF != "" || *llc {
 		var accesses []trace.Access
 		if *traceF != "" {
-			f, err := os.Open(*traceF)
+			cf, err := trace.OpenChunked(*traceF)
 			if err != nil {
 				fail(err)
 			}
-			defer f.Close()
-			r, err := trace.NewAccessReader(f)
-			if err != nil {
-				fail(err)
+			var frame []trace.Access
+			for i := 0; i < cf.Frames(); i++ {
+				if frame, err = cf.ReadFrameAt(i, frame); err != nil {
+					fail(err)
+				}
+				accesses = append(accesses, frame...)
 			}
-			if accesses, err = r.ReadAll(); err != nil {
-				fail(err)
-			}
+			cf.Close()
 		} else {
 			s := experiments.FullScale()
 			s.TraceLen = *n

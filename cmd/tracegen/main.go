@@ -1,14 +1,13 @@
-// Command tracegen materializes traces from the synthetic workload suite:
-// either instruction traces (for the timing simulator) or LLC access traces
-// (the §III-A ⟨PC, type, address⟩ records, captured from a timing run with
-// an LRU LLC).
+// Command tracegen captures LLC access traces from the synthetic workload
+// suite (the §III-A ⟨PC, type, address⟩ records, captured from a timing run
+// with an LRU LLC) and writes them in the chunked trace container, the
+// format rlrsim -trace replays.
 //
 // Usage:
 //
 //	tracegen -list
-//	tracegen -workload 429.mcf -n 1000000 -o mcf.instr
-//	tracegen -workload 429.mcf -llc -n 200000 -o mcf.llc
-//	tracegen -workload 429.mcf -llc -chunked -compress -o mcf.llct
+//	tracegen -workload 429.mcf -n 200000 -o mcf.llct
+//	tracegen -workload 429.mcf -compress -o mcf.llct
 //	tracegen -stat mcf.llct
 package main
 
@@ -27,12 +26,10 @@ func main() {
 	var (
 		list     = flag.Bool("list", false, "list workloads")
 		name     = flag.String("workload", "", "workload name")
-		n        = flag.Int("n", 1_000_000, "records to generate (instructions, or LLC accesses with -llc)")
+		n        = flag.Int("n", 1_000_000, "LLC accesses to capture")
 		out      = flag.String("o", "", "output file (default stdout)")
-		llc      = flag.Bool("llc", false, "capture an LLC access trace instead of an instruction trace")
-		chunked  = flag.Bool("chunked", false, "with -llc: write the seekable chunked container instead of the flat stream")
-		compress = flag.Bool("compress", false, "with -chunked: flate-compress frame payloads")
-		frame    = flag.Int("frame", 0, "with -chunked: accesses per frame (0 = default)")
+		compress = flag.Bool("compress", false, "flate-compress frame payloads")
+		frame    = flag.Int("frame", 0, "accesses per frame (0 = default)")
 		stat     = flag.String("stat", "", "print frame count, accesses, and unique blocks of a chunked trace, then exit")
 		line     = flag.Uint64("line", 64, "with -stat: cache line size for unique-block counting")
 	)
@@ -71,58 +68,29 @@ func main() {
 		defer w.Close()
 	}
 
-	if *llc {
-		sys := uarch.NewSystem(uarch.DefaultConfig(1), policy.MustNew("lru"))
-		var write func(trace.Access) error
-		var finish func() error
-		if *chunked {
-			opts := trace.ChunkedWriterOptions{FrameAccesses: *frame}
-			if *compress {
-				opts.Codec = trace.CodecFlate
-			}
-			cw := trace.NewChunkedWriter(w, opts)
-			write, finish = cw.Write, cw.Close
-		} else {
-			aw := trace.NewAccessWriter(w)
-			write, finish = aw.Write, aw.Flush
-		}
-		captured := 0
-		sys.Hierarchy().SetLLCObserver(func(a trace.Access, hit bool) {
-			if captured < *n {
-				if err := write(a); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				captured++
-			}
-		})
-		gen := workloads.New(spec)
-		for captured < *n {
-			sys.RunSingle(gen, 0, 100_000)
-		}
-		if err := finish(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d LLC accesses for %s\n", captured, spec.Name)
-		return
+	sys := uarch.NewSystem(uarch.DefaultConfig(1), policy.MustNew("lru"))
+	opts := trace.ChunkedWriterOptions{FrameAccesses: *frame}
+	if *compress {
+		opts.Codec = trace.CodecFlate
 	}
-	if *chunked {
-		fmt.Fprintln(os.Stderr, "-chunked requires -llc (the chunked container holds LLC access records)")
-		os.Exit(2)
-	}
-
-	iw := trace.NewInstrWriter(w)
+	cw := trace.NewChunkedWriter(w, opts)
+	captured := 0
+	sys.Hierarchy().SetLLCObserver(func(a trace.Access, hit bool) {
+		if captured < *n {
+			if err := cw.Write(a); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			captured++
+		}
+	})
 	gen := workloads.New(spec)
-	for i := 0; i < *n; i++ {
-		if err := iw.Write(gen.Next()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	for captured < *n {
+		sys.RunSingle(gen, 0, 100_000)
 	}
-	if err := iw.Flush(); err != nil {
+	if err := cw.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d instructions for %s\n", *n, spec.Name)
+	fmt.Fprintf(os.Stderr, "wrote %d LLC accesses for %s\n", captured, spec.Name)
 }

@@ -34,8 +34,8 @@ func main() {
 		}
 		var rows []row
 		for _, name := range []string{"lru", "random", "srrip", "drrip", "kpc-r",
-			"ship", "ship++", "hawkeye", "glider", "pdp", "eva", "rwp", "cbr",
-			"igdr", "rlr", "rlr-unopt"} {
+			"ship", "ship++", "hawkeye", "pdp", "eva", "rwp", "cbr",
+			"rlr", "rlr-unopt"} {
 			st := cachesim.RunPolicy(cfg, policy.MustNew(name), tr)
 			rows = append(rows, row{name, st.HitRate()})
 		}

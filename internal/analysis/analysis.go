@@ -47,18 +47,6 @@ func HeatMap(agent *rl.Agent) []HeatMapRow {
 	return rows
 }
 
-// TopFeatures returns the n highest-weight features of a heat map.
-func TopFeatures(rows []HeatMapRow, n int) []rl.Feature {
-	if n > len(rows) {
-		n = len(rows)
-	}
-	out := make([]rl.Feature, n)
-	for i := 0; i < n; i++ {
-		out[i] = rows[i].Feature
-	}
-	return out
-}
-
 // HillClimbStep is one round of the §III-B greedy feature search.
 type HillClimbStep struct {
 	Added   rl.Feature

@@ -51,10 +51,6 @@ func TestHeatMapCoversAllFeatures(t *testing.T) {
 			t.Errorf("feature %v weight %v invalid", r.Feature, r.Weight)
 		}
 	}
-	top := TopFeatures(rows, 5)
-	if len(top) != 5 {
-		t.Errorf("TopFeatures returned %d", len(top))
-	}
 }
 
 func TestHillClimbFindsUsefulFeature(t *testing.T) {

@@ -57,11 +57,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// SizeBytes returns the data capacity of the configured cache.
-func (c Config) SizeBytes() uint64 {
-	return uint64(c.Sets) * uint64(c.Ways) * c.LineSize
-}
-
 // Line is one cache line plus its Table II metadata. All "age"-like values
 // are measured in set accesses, matching the paper's definitions; the ages
 // and the recency rank are derived from the stamps by the Set methods. The
@@ -186,10 +181,6 @@ func New(cfg Config) *Cache {
 
 // Config returns the cache's geometry.
 func (c *Cache) Config() Config { return c.cfg }
-
-// SetEvictObserver installs fn to be called on every eviction of a valid
-// line. Passing nil removes the observer.
-func (c *Cache) SetEvictObserver(fn EvictFunc) { c.lineEvents = fn }
 
 // BlockAddr returns the block address (byte address / line size).
 func (c *Cache) BlockAddr(addr uint64) uint64 { return addr >> c.setShift }

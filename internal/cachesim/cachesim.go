@@ -92,9 +92,9 @@ type Simulator struct {
 
 	// Observability (all nil by default and in tests: the hot path then
 	// pays only nil checks and keeps its zero-allocation guarantee). The
-	// hook is picked up from obs.GlobalHook at construction or set with
-	// SetHook; the metrics are resolved from the registry only when
-	// obs.Enable() ran before New.
+	// hook is picked up from obs.GlobalHook at construction; the metrics
+	// are resolved from the registry only when obs.Enable() ran before
+	// New.
 	hook    obs.Hook
 	ev      obs.CacheEvent // scratch event, reused across emissions
 	mAcc    *obs.Counter
@@ -153,10 +153,6 @@ func (s *Simulator) TrackAccessPreuse() {
 	s.preuse = newPreuseTable(s.cfg.Sets * s.cfg.Ways)
 }
 
-// SetHook attaches (or with nil detaches) a cache-event hook directly on
-// this simulator, overriding whatever obs.GlobalHook provided at New time.
-func (s *Simulator) SetHook(h obs.Hook) { s.hook = h }
-
 // emit streams one event through the hook, reusing the scratch record; the
 // caller has pre-filled the victim fields when kind is obs.EvEvict.
 func (s *Simulator) emit(kind obs.EventKind, a trace.Access, seq uint64, setIdx uint32, way int) {
@@ -177,14 +173,8 @@ func (s *Simulator) emit(kind obs.EventKind, a trace.Access, seq uint64, setIdx 
 // Cache exposes the underlying cache (for analyses and eviction observers).
 func (s *Simulator) Cache() *cache.Cache { return s.c }
 
-// Policy returns the governing policy.
-func (s *Simulator) Policy() policy.Policy { return s.p }
-
 // Stats returns a copy of the accumulated statistics.
 func (s *Simulator) Stats() Stats { return s.stats }
-
-// Seq returns the number of accesses processed so far.
-func (s *Simulator) Seq() uint64 { return s.seq }
 
 // AccessPreuse returns the set's accesses counted since the block's last
 // reference in its set, or NeverAccessed. This is the Table II "access

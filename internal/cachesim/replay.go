@@ -1,9 +1,11 @@
 // replay.go is the frame-granular replay driver: it feeds a Simulator from
 // any trace.FrameSource one frame at a time, reusing a single frame buffer,
 // so replay memory is O(frame) no matter how long the trace is. Together
-// with the chunked container (internal/trace), streaming generation
-// (internal/workloads) and the bounded-memory oracle (policy.StreamOracle)
-// it closes the loop on simulating traces far larger than RAM.
+// with the chunked container (internal/trace) and streaming generation
+// (internal/workloads) it simulates traces far larger than RAM under any
+// policy that needs no future knowledge; Belady's oracle holds the whole
+// trace's next-use chain in memory. The representative-interval
+// experiment replays its windows through RunRange.
 package cachesim
 
 import (
@@ -51,7 +53,7 @@ func (s *Simulator) RunRange(src trace.FrameSource, start, n, warmup uint64) (St
 	}
 	total := src.NumAccesses()
 	if start+n > total {
-		n = total - min64(start, total)
+		n = total - min(start, total)
 	}
 	frame := 0
 	if n > 0 {
@@ -83,13 +85,6 @@ func (s *Simulator) RunRange(src trace.FrameSource, start, n, warmup uint64) (St
 		base = s.stats
 	}
 	return diffStats(s.stats, base), nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // frameAt locates the frame containing global access seq by binary search

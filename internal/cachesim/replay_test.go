@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cache"
@@ -36,39 +37,35 @@ func TestRunFramesMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunFramesBeladyStreamOracle: the full streaming stack — chunked
-// frames + StreamOracle + chain-driven Belady — must match the in-memory
-// oracle replay exactly, with and without bypass.
-func TestRunFramesBeladyStreamOracle(t *testing.T) {
+// TestRunFramesBeladyMatchesRun: frame replay of a real chunked container
+// keeps ctx.Seq aligned with the oracle's trace indices, so the
+// chain-driven Belady matches the in-memory replay exactly, with and
+// without bypass.
+func TestRunFramesBeladyMatchesRun(t *testing.T) {
 	accesses := replayTestTrace(t, 20000)
-	src := trace.NewSliceFrames(accesses, 1024)
-	for _, bypass := range []bool{false, true} {
-		ref := policy.NewOracle(accesses, replayCfg.LineSize)
-		var pol policy.Policy
-		if bypass {
-			pol = policy.NewBeladyBypass(ref)
-		} else {
-			pol = policy.NewBelady(ref)
-		}
-		want := RunPolicy(replayCfg, pol, accesses)
-
-		so, err := policy.BuildStreamOracle(src, replayCfg.LineSize, t.TempDir())
-		if err != nil {
+	var buf bytes.Buffer
+	cw := trace.NewChunkedWriter(&buf, trace.ChunkedWriterOptions{FrameAccesses: 1024})
+	for _, a := range accesses {
+		if err := cw.Write(a); err != nil {
 			t.Fatal(err)
 		}
-		var spol policy.Policy
-		if bypass {
-			spol = policy.NewBeladyChainBypass(so)
-		} else {
-			spol = policy.NewBeladyChain(so)
-		}
-		got, err := RunFramesPolicy(replayCfg, spol, src)
-		so.Close()
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.NewChunkedFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := policy.NewOracle(accesses, replayCfg.LineSize)
+	for _, mk := range []func(*policy.Oracle) *policy.Belady{policy.NewBelady, policy.NewBeladyBypass} {
+		want := RunPolicy(replayCfg, mk(o), accesses)
+		got, err := RunFramesPolicy(replayCfg, mk(o), src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("bypass=%v: streaming stats %+v, want %+v", bypass, got, want)
+			t.Fatalf("%s: frame replay stats %+v, want %+v", mk(o).Name(), got, want)
 		}
 	}
 }

@@ -20,17 +20,16 @@ func heapMB() float64 {
 	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
-// TestStreamingPipelineBoundedMemory drives the whole streaming stack end
-// to end — generate a chunked trace on disk, build the bounded-memory
-// Belady oracle over it, replay it frame by frame — and asserts the live
-// heap never grows by more than a fixed budget that is far below what the
-// all-in-RAM pipeline needs for the same trace.
+// TestStreamingPipelineBoundedMemory drives the streaming stack end to
+// end — generate a chunked trace on disk, replay it frame by frame under a
+// policy that needs no future knowledge — and asserts the live heap never
+// grows by more than a fixed budget that is far below what the all-in-RAM
+// pipeline needs for the same trace.
 //
-// At the default 4M accesses the materialized pipeline holds ~96MB of
-// []trace.Access plus ~64MB of oracle chain/block arrays plus the
-// per-block position index (≥100MB); the streaming pipeline's budget here
-// is 64MB, dominated by the oracle's unique-block map. The same code path
-// scales to ≥100M accesses unchanged (see TestStreamingPipeline100M).
+// At the default 4M accesses the materialized trace alone is ~96MB of
+// []trace.Access; the streaming pipeline's budget here is 64MB. The same
+// code path scales to ≥100M accesses unchanged (see
+// TestStreamingPipeline100M).
 func TestStreamingPipelineBoundedMemory(t *testing.T) {
 	n := 4_000_000
 	if raceEnabled || testing.Short() {
@@ -67,17 +66,9 @@ func TestStreamingPipelineBoundedMemory(t *testing.T) {
 	}
 	defer cf.Close()
 
-	so, err := policy.BuildStreamOracle(cf, replayCfg.LineSize, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer so.Close()
-	check("oracle")
-
 	// Replay in quarters, auditing the heap between them: RunRange resumes
-	// exactly where the previous call stopped, so ctx.Seq stays aligned
-	// with the oracle's trace indices.
-	sim := New(replayCfg, 1, policy.NewBeladyChain(so))
+	// exactly where the previous call stopped.
+	sim := New(replayCfg, 1, policy.MustNew("srrip"))
 	var st Stats
 	quarter := uint64(n) / 4
 	for q := uint64(0); q < 4; q++ {
@@ -109,7 +100,7 @@ func TestStreamingPipeline100M(t *testing.T) {
 		t.Skip("set STREAM_E2E_100M=1 to run the 100M-access pipeline test")
 	}
 	const n = 100_000_000
-	const budgetMB = 256.0 // vs ~2.4GB of raw trace + ~1.6GB of oracle arrays in RAM
+	const budgetMB = 256.0 // vs ~2.4GB of raw trace in RAM
 
 	spec, err := workloads.ByName("483.xalancbmk")
 	if err != nil {
@@ -141,20 +132,13 @@ func TestStreamingPipeline100M(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	so, err := policy.BuildStreamOracle(cf, replayCfg.LineSize, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer so.Close()
-	report("oracle")
-
-	sim := New(replayCfg, 1, policy.NewBeladyChain(so))
+	sim := New(replayCfg, 1, policy.MustNew("srrip"))
 	st, err := sim.RunFrames(cf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	report("replay")
-	t.Logf("belady hit rate over %d accesses: %.2f%%", st.Accesses, st.HitRate())
+	t.Logf("srrip hit rate over %d accesses: %.2f%%", st.Accesses, st.HitRate())
 	if st.Accesses != n {
 		t.Fatalf("replayed %d accesses, want %d", st.Accesses, n)
 	}

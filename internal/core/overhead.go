@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cache"
 	"repro/internal/mathx"
@@ -24,15 +23,6 @@ type Overhead struct {
 
 // KB returns the overhead in kilobytes (1KB = 8192 bits, i.e. 1024 bytes).
 func (o Overhead) KB() float64 { return float64(o.Bits) / 8192 }
-
-// String formats the overhead the way Table I does.
-func (o Overhead) String() string {
-	pc := "No"
-	if o.UsesPC {
-		pc = "Yes"
-	}
-	return fmt.Sprintf("%-12s PC=%-3s %.2fKB", o.Policy, pc, o.KB())
-}
 
 // PolicyOverhead computes the Table I storage overhead of the named policy
 // for a cache of geometry cfg. Unknown names return an error.
@@ -99,19 +89,18 @@ func PolicyOverhead(name string, cfg cache.Config) (Overhead, error) {
 	}
 }
 
-// TableOne returns the Table I rows (every policy the table lists that this
-// repository models) for the given geometry, sorted by name.
+// TableOne returns the Table I rows, in the paper's order, for the given
+// geometry.
 func TableOne(cfg cache.Config) []Overhead {
 	names := []string{"lru", "drrip", "kpc-r", "mpppb", "ship", "ship++", "hawkeye", "glider", "rlr", "rlr-unopt"}
-	out := make([]Overhead, 0, len(names))
-	for _, n := range names {
+	out := make([]Overhead, len(names))
+	for i, n := range names {
 		o, err := PolicyOverhead(n, cfg)
 		if err != nil {
-			continue
+			panic(err) // every Table I policy has a model
 		}
-		out = append(out, o)
+		out[i] = o
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Policy < out[j].Policy })
 	return out
 }
 

@@ -171,21 +171,6 @@ func New(opt Options) *RLR {
 // Name implements policy.Policy.
 func (p *RLR) Name() string { return p.name }
 
-// Options returns the configuration this instance runs with.
-func (p *RLR) Options() Options { return p.opt }
-
-// RD returns the current predicted reuse distance (exported for tests and
-// the insight analyses).
-func (p *RLR) RD() uint32 { return p.rd }
-
-// CorePriorities returns a copy of the current per-core priority levels
-// (§IV-D); all zeros outside multicore mode.
-func (p *RLR) CorePriorities() []int {
-	out := make([]int, len(p.corePrio))
-	copy(out, p.corePrio)
-	return out
-}
-
 // Init implements policy.Policy.
 func (p *RLR) Init(cfg policy.Config) {
 	p.cfg = cfg

@@ -310,12 +310,6 @@ func ResetCaches() {
 	selectionMemo.Reset()
 }
 
-// cachedEntries reports the total number of memoized results (tests).
-func cachedEntries() int {
-	return traceMemo.Len() + agentMemo.Len() + ipcMemo.Len() +
-		mixMemo.Len() + victimMemo.Len() + oracleMemo.Len() + selectionMemo.Len()
-}
-
 // runIPC executes one single-core timing run and returns the result.
 // Results are memoized per (workload, policy, scale): several experiments
 // (fig10, fig12, tab4) visit the same cell, the runs are deterministic,

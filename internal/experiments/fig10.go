@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 
-	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -17,32 +15,6 @@ func init() {
 	register("fig11", "Figure 11: IPC speedup over LRU, CloudSuite, single-core", runFig11)
 	register("fig12", "Figure 12: demand MPKI per policy (benchmarks with LRU MPKI > 3)", runFig12)
 	register("kpcp", "§V-B: RLR vs KPC-R with KPC-P as the L2 prefetcher", runKPCP)
-}
-
-// TableOneTable renders Table I at the paper's 2MB 16-way geometry.
-func TableOneTable() (*stats.Table, error) {
-	tbl := &stats.Table{
-		Title:  "Table I: hardware overhead for a 16-way 2MB cache",
-		Header: []string{"policy", "uses PC", "overhead (KB)", "source"},
-	}
-	cfg := cache.Config{Sets: 2048, Ways: 16, LineSize: 64}
-	order := []string{"lru", "drrip", "kpc-r", "mpppb", "ship", "ship++", "hawkeye", "glider", "rlr", "rlr-unopt"}
-	for _, name := range order {
-		o, err := core.PolicyOverhead(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pc := "No"
-		if o.UsesPC {
-			pc = "Yes"
-		}
-		src := "modeled"
-		if o.FromPaper {
-			src = "paper-reported"
-		}
-		tbl.AddRow(o.Policy, pc, stats.F2(o.KB()), src)
-	}
-	return tbl, nil
 }
 
 // ipcPolicies is the Figure 10/11 series order.

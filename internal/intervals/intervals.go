@@ -151,7 +151,7 @@ func EvaluateRepresentatives(ccfg cache.Config, newPolicy func() policy.Policy, 
 	var wsum float64
 	for _, r := range sel.Reps {
 		sim := cachesim.New(ccfg, 1, newPolicy())
-		w := min64(warmup, r.Start)
+		w := min(warmup, r.Start)
 		st, err := sim.RunRange(src, r.Start-w, r.N+w, w)
 		if err != nil {
 			return RepResult{}, err
@@ -167,11 +167,4 @@ func EvaluateRepresentatives(ccfg cache.Config, newPolicy func() policy.Policy, 
 		res.HitRate /= wsum
 	}
 	return res, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

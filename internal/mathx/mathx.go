@@ -28,112 +28,6 @@ func GeoMean(xs []float64) (float64, error) {
 	return math.Exp(sum / float64(len(xs))), nil
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. xs need not be sorted.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// ClampInt limits x to the closed interval [lo, hi].
-func ClampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// ArgMax returns the index of the maximum value in xs, breaking ties toward
-// the lowest index. It panics on an empty slice.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		panic("mathx: ArgMax of empty slice")
-	}
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the minimum value in xs, breaking ties toward
-// the lowest index. It panics on an empty slice.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		panic("mathx: ArgMin of empty slice")
-	}
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Histogram counts values into buckets delimited by the sorted boundaries.
 // A value v lands in bucket i when boundaries[i-1] <= v < boundaries[i];
 // values >= the last boundary land in the final overflow bucket, so the
@@ -167,13 +61,6 @@ func (h *Histogram) Add(v float64) {
 	}
 	h.counts[idx]++
 	h.total++
-}
-
-// Counts returns a copy of the raw bucket counts (len(boundaries)+1).
-func (h *Histogram) Counts() []int64 {
-	out := make([]int64, len(h.counts))
-	copy(out, h.counts)
-	return out
 }
 
 // Fractions returns each bucket's share of all observations, or all zeros

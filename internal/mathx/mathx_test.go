@@ -60,45 +60,10 @@ func TestGeoMeanLEArithmeticMean(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 15}, {100, 50}, {50, 35}, {25, 20},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEqual(got, c.want, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %v, want 0", got)
-	}
-	if got := Percentile([]float64{7}, 99); got != 7 {
-		t.Errorf("Percentile single = %v, want 7", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 3); got != 3 {
-		t.Errorf("Clamp = %v", got)
-	}
-	if got := Clamp(-1, 0, 3); got != 0 {
-		t.Errorf("Clamp = %v", got)
-	}
-	if got := ClampInt(2, 0, 3); got != 2 {
-		t.Errorf("ClampInt = %v", got)
 	}
 }
 

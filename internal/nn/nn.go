@@ -265,25 +265,6 @@ func (m *MLP) ZeroGrad() {
 	}
 }
 
-// SGDStep applies one plain gradient step with the given learning rate,
-// dividing accumulated gradients by batch (the number of Backward calls
-// since ZeroGrad), then clears them.
-func (m *MLP) SGDStep(lr float64, batch int) {
-	if batch < 1 {
-		batch = 1
-	}
-	scale := lr / float64(batch)
-	for _, l := range m.layers {
-		for i := range l.w {
-			l.w[i] -= scale * l.gw[i]
-		}
-		for i := range l.b {
-			l.b[i] -= scale * l.gb[i]
-		}
-	}
-	m.ZeroGrad()
-}
-
 // Adam hyperparameters (standard defaults).
 const (
 	adamBeta1 = 0.9

@@ -105,12 +105,6 @@ func Quantize(m *MLP) *Quantized {
 	return q
 }
 
-// InputSize returns the network's input width.
-func (q *Quantized) InputSize() int { return q.layers[0].in }
-
-// OutputSize returns the network's output width.
-func (q *Quantized) OutputSize() int { return q.layers[len(q.layers)-1].out }
-
 // Forward runs int8 inference on one input vector. The returned slice is
 // owned by the network and valid until the next call. Allocation-free
 // after construction.

@@ -22,13 +22,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -102,15 +95,6 @@ func (h *Histogram) Sum() uint64 {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// Mean returns the mean observation (0 when empty or nil).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
 }
 
 // Buckets returns a copy of the non-zero buckets as (upper-bound, count)

@@ -43,9 +43,6 @@ func Enable() { enabled.Store(true) }
 // Disable switches metrics collection off again (tests).
 func Disable() { enabled.Store(false) }
 
-// Enabled reports whether metrics collection is on.
-func Enabled() bool { return enabled.Load() }
-
 // def is the process-wide registry. It always exists so the HTTP endpoint
 // can serve it even when collection is disabled (it is then simply empty).
 var def = NewRegistry()

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -97,19 +95,6 @@ func (s *Span) addPhase(p SpanPhase, ns int64) {
 	case PhaseStore:
 		s.StoreNs += ns
 	}
-}
-
-// PhaseNs returns the accumulated time of one phase.
-func (s *Span) PhaseNs(p SpanPhase) int64 {
-	switch p {
-	case PhaseLockWait:
-		return s.LockWaitNs
-	case PhaseVictim:
-		return s.VictimNs
-	case PhaseStore:
-		return s.StoreNs
-	}
-	return 0
 }
 
 // SpanSink consumes request spans, mirroring Sink for cache events. The
@@ -229,14 +214,6 @@ func NewSpanTracer(sink SpanSink, sample int) *SpanTracer {
 	return &SpanTracer{sink: sink, every: every}
 }
 
-// Sampled returns the number of spans emitted so far (0 on nil).
-func (t *SpanTracer) Sampled() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.seq.Load()
-}
-
 // Close closes the underlying sink (flushing a JSONL file). Nil-safe.
 func (t *SpanTracer) Close() error {
 	if t == nil {
@@ -320,21 +297,5 @@ func (a *ActiveSpan) Finish(outcome string, hit bool) {
 		a.t.fail.Do(func() {
 			fmt.Fprintf(os.Stderr, "obs: span sink failed (further errors suppressed): %v\n", err)
 		})
-	}
-}
-
-// ReadSpans decodes a JSONL span stream (the JSONLSink format), for tests
-// and offline analysis.
-func ReadSpans(r io.Reader) ([]Span, error) {
-	var out []Span
-	dec := json.NewDecoder(r)
-	for {
-		var s Span
-		if err := dec.Decode(&s); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("obs: span %d: %w", len(out), err)
-		}
-		out = append(out, s)
 	}
 }

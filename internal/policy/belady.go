@@ -151,18 +151,19 @@ func (o *Oracle) SeekReplay(pos uint64) {
 	}
 }
 
-// ReuseDistance returns the number of trace accesses until addr's block is
-// referenced again after seq, or NeverUsed.
-func (o *Oracle) ReuseDistance(addr uint64, seq uint64) uint64 {
-	nu := o.NextUse(addr, seq)
-	if nu == NeverUsed {
-		return NeverUsed
-	}
-	return nu - seq
-}
-
 // Len returns the trace length the oracle was built from.
 func (o *Oracle) Len() uint64 { return o.length }
+
+// NextUseChain is the read-only future-knowledge interface the chain-driven
+// Belady replay consumes: for the access at seq, the index of the next
+// reference to the same block (or NeverUsed). *Oracle implements it.
+type NextUseChain interface {
+	// NextAfter returns the index of the next reference to the block
+	// touched by access seq, or NeverUsed.
+	NextAfter(seq uint64) uint64
+	// Len returns the trace length the chain was built from.
+	Len() uint64
+}
 
 // Belady implements the optimal replacement policy: evict the line whose
 // next use lies farthest in the future. With bypass enabled, an access
@@ -194,16 +195,9 @@ func NewBelady(o *Oracle) *Belady { return &Belady{oracle: o} }
 // NewBeladyBypass is NewBelady with MIN-style bypass enabled.
 func NewBeladyBypass(o *Oracle) *Belady { return &Belady{oracle: o, AllowBypass: true} }
 
-// NewBeladyChain wraps any NextUseChain (in particular a bounded-memory
-// StreamOracle) in the chain-driven Belady replay. A StreamOracle's
-// NextAfter is stateful, so unlike NewBelady each StreamOracle must back
-// exactly one policy instance.
+// NewBeladyChain wraps any NextUseChain in the chain-driven Belady replay;
+// the end-to-end benchmark passes its own chain wrappers through it.
 func NewBeladyChain(src NextUseChain) *Belady { return &Belady{oracle: src} }
-
-// NewBeladyChainBypass is NewBeladyChain with MIN-style bypass enabled.
-func NewBeladyChainBypass(src NextUseChain) *Belady {
-	return &Belady{oracle: src, AllowBypass: true}
-}
 
 // Name implements Policy.
 func (p *Belady) Name() string {

@@ -36,17 +36,6 @@ func TestOracleNextUse(t *testing.T) {
 	}
 }
 
-func TestOracleReuseDistance(t *testing.T) {
-	accesses := seq(0, 1, 0)
-	o := policy.NewOracle(accesses, 64)
-	if got := o.ReuseDistance(0, 0); got != 2 {
-		t.Errorf("ReuseDistance = %d, want 2", got)
-	}
-	if got := o.ReuseDistance(64, 1); got != policy.NeverUsed {
-		t.Errorf("ReuseDistance of dead block = %d, want NeverUsed", got)
-	}
-}
-
 // TestNewOracleAllocs pins the oracle's memory shape: a few flat arrays
 // and the cursor map, with no per-block index. A per-block position list
 // would cost several allocations per distinct block (over 90k on this

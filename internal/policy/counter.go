@@ -7,7 +7,6 @@ import (
 
 func init() {
 	Register("cbr", func() Policy { return NewCBR() })
-	Register("igdr", func() Policy { return NewIGDR() })
 }
 
 // CBR is the counter-based replacement of Kharbutli & Solihin [18] (§II):
@@ -113,110 +112,4 @@ func (p *CBR) Update(ctx AccessCtx, set *cache.Set, way int, hit bool) {
 	cnt[way] = 0
 	thr[way] = p.table[cbrIndex(ctx.PC)]
 	p.inited[ctx.SetIdx][way] = true
-}
-
-// IGDR is Inter-reference Gap Distribution Replacement (Takagi & Hiraki
-// [27], §II): each line carries a weight derived from the distribution of
-// its observed inter-reference gaps; the line with the smallest expected
-// imminence of reuse (largest expected remaining gap) is evicted. This
-// implementation bins gaps geometrically per line class (short/medium/
-// long) and scores lines by their class's observed re-reference rate.
-type IGDR struct {
-	// gapClassHits[c] / gapClassUses[c]: how often lines whose last gap
-	// fell in class c were re-referenced before eviction.
-	gapClassHits [4]uint64
-	gapClassUses [4]uint64
-	lastGapClass [][]uint8
-	counters     [][]uint16
-}
-
-// NewIGDR returns a new inter-reference gap distribution policy.
-func NewIGDR() *IGDR { return &IGDR{} }
-
-// Name implements Policy.
-func (*IGDR) Name() string { return "igdr" }
-
-// Init implements Policy.
-func (p *IGDR) Init(cfg Config) {
-	p.lastGapClass = make([][]uint8, cfg.Sets)
-	p.counters = make([][]uint16, cfg.Sets)
-	for i := range p.lastGapClass {
-		p.lastGapClass[i] = make([]uint8, cfg.Ways)
-		p.counters[i] = make([]uint16, cfg.Ways)
-	}
-	p.gapClassHits = [4]uint64{}
-	p.gapClassUses = [4]uint64{}
-}
-
-func gapClass(gap uint16) uint8 {
-	switch {
-	case gap < 4:
-		return 0
-	case gap < 16:
-		return 1
-	case gap < 64:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// weight scores a line: its class's historical re-reference probability,
-// discounted by how far past its class's typical gap it already is.
-func (p *IGDR) weight(setIdx uint32, w int) float64 {
-	cls := p.lastGapClass[setIdx][w]
-	uses := p.gapClassUses[cls]
-	if uses == 0 {
-		return 0.5
-	}
-	prob := float64(p.gapClassHits[cls]) / float64(uses)
-	// Lines far beyond their class's gap bound are increasingly dead.
-	overdue := float64(p.counters[setIdx][w]) / float64(uint32(4)<<(2*cls))
-	if overdue > 1 {
-		prob /= overdue
-	}
-	return prob
-}
-
-// Victim implements Policy: evict the smallest-weight line.
-func (p *IGDR) Victim(ctx AccessCtx, set *cache.Set) int {
-	best, bestW := 0, 2.0
-	for w := range set.Lines {
-		if wt := p.weight(ctx.SetIdx, w); wt < bestW {
-			best, bestW = w, wt
-		}
-	}
-	p.gapClassUses[p.lastGapClass[ctx.SetIdx][best]]++
-	return best
-}
-
-// Update implements Policy.
-func (p *IGDR) Update(ctx AccessCtx, set *cache.Set, way int, hit bool) {
-	cnt := p.counters[ctx.SetIdx]
-	for w := range cnt {
-		if cnt[w] < 1<<14 {
-			cnt[w]++
-		}
-	}
-	if hit {
-		gap := cnt[way] - 1
-		cls := gapClass(gap)
-		p.gapClassHits[p.lastGapClass[ctx.SetIdx][way]]++
-		p.gapClassUses[p.lastGapClass[ctx.SetIdx][way]]++
-		p.lastGapClass[ctx.SetIdx][way] = cls
-		cnt[way] = 0
-		p.decay()
-		return
-	}
-	cnt[way] = 0
-	p.lastGapClass[ctx.SetIdx][way] = 1 // fresh lines start optimistic-medium
-}
-
-func (p *IGDR) decay() {
-	for c := range p.gapClassUses {
-		if p.gapClassUses[c] > 1<<20 {
-			p.gapClassUses[c] /= 2
-			p.gapClassHits[c] /= 2
-		}
-	}
 }

@@ -4,8 +4,24 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
+
+// streamTestTrace builds a reuse-heavy random trace (small block universe
+// so chains are dense).
+func streamTestTrace(n int, seed uint64) []trace.Access {
+	rng := xrand.New(seed)
+	out := make([]trace.Access, n)
+	for i := range out {
+		out[i] = trace.Access{
+			PC:   0x400000 + uint64(rng.Intn(64))*4,
+			Addr: uint64(rng.Intn(n/4+8)) * 64,
+			Type: trace.AccessType(rng.Intn(int(trace.NumAccessTypes))),
+		}
+	}
+	return out
+}
 
 // TestOracleNextAfterBuildsNoCursor: the Belady replay reads the oracle
 // only through NextAfter, so an oracle it drives never builds the

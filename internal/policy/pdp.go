@@ -71,10 +71,6 @@ func (p *PDP) Init(cfg Config) {
 	p.monitor = make(map[pdpKey]uint64)
 }
 
-// PD returns the current protecting distance (exported for tests and the
-// ablation benches).
-func (p *PDP) PD() uint32 { return p.pd }
-
 // Victim implements Policy.
 func (p *PDP) Victim(ctx AccessCtx, set *cache.Set) int {
 	row := p.counters[ctx.SetIdx]

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRelatedWorkPoliciesRegistered(t *testing.T) {
-	for _, name := range []string{"rwp", "cbr", "igdr", "glider"} {
+	for _, name := range []string{"rwp", "cbr"} {
 		p, err := policy.New(name)
 		if err != nil {
 			t.Fatalf("New(%s): %v", name, err)
@@ -46,7 +46,7 @@ func TestRelatedWorkPoliciesSane(t *testing.T) {
 		accesses = append(accesses, trace.Access{PC: uint64(rng.Intn(16)) * 4, Addr: b * 64, Type: ty})
 	}
 	lru := cachesim.RunPolicy(cfg, policy.MustNew("lru"), accesses)
-	for _, name := range []string{"rwp", "cbr", "igdr", "glider"} {
+	for _, name := range []string{"rwp", "cbr"} {
 		st := cachesim.RunPolicy(cfg, policy.MustNew(name), accesses)
 		if st.Accesses != lru.Accesses {
 			t.Fatalf("%s processed %d accesses, want %d", name, st.Accesses, lru.Accesses)
@@ -112,44 +112,5 @@ func TestCBRExpiresDeadLines(t *testing.T) {
 	lru := cachesim.RunPolicy(cfg, policy.MustNew("lru"), accesses)
 	if cbr.Hits <= lru.Hits {
 		t.Errorf("CBR hits %d should beat LRU %d once thresholds are learned", cbr.Hits, lru.Hits)
-	}
-}
-
-func TestGliderLearnsFromHistory(t *testing.T) {
-	// Same dead-PC scenario as SHiP's test: Glider must learn that the
-	// scanning PC's lines are cache-averse.
-	cfg := cache.Config{Sets: 16, Ways: 4, LineSize: 64}
-	var accesses []trace.Access
-	scan := uint64(1 << 20)
-	for rep := 0; rep < 800; rep++ {
-		for b := uint64(0); b < 32; b++ {
-			a := trace.Access{PC: 0xAAA0, Addr: b * 64, Type: trace.Load}
-			accesses = append(accesses, a, a)
-		}
-		for k := 0; k < 96; k++ {
-			accesses = append(accesses, trace.Access{PC: 0xBBB0, Addr: scan * 64, Type: trace.Load})
-			scan++
-		}
-	}
-	gl := cachesim.RunPolicy(cfg, policy.MustNew("glider"), accesses)
-	lru := cachesim.RunPolicy(cfg, policy.MustNew("lru"), accesses)
-	if gl.Hits <= lru.Hits {
-		t.Errorf("Glider (%d hits) should beat LRU (%d hits) with a dead streaming PC", gl.Hits, lru.Hits)
-	}
-}
-
-func TestIGDRDeterministic(t *testing.T) {
-	cfg := cache.Config{Sets: 8, Ways: 4, LineSize: 64}
-	mk := func() cachesim.Stats {
-		var accesses []trace.Access
-		for i := 0; i < 30000; i++ {
-			accesses = append(accesses, trace.Access{
-				PC: uint64(i % 9), Addr: uint64((i*7)%300) * 64, Type: trace.Load,
-			})
-		}
-		return cachesim.RunPolicy(cfg, policy.MustNew("igdr"), accesses)
-	}
-	if a, b := mk(), mk(); a != b {
-		t.Error("IGDR not deterministic")
 	}
 }

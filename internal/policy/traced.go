@@ -26,9 +26,6 @@ func NewTraced(p Policy, h obs.Hook) *Traced {
 	return &Traced{inner: p, hook: h}
 }
 
-// Inner returns the wrapped policy.
-func (t *Traced) Inner() Policy { return t.inner }
-
 // Name implements Policy; it reports the inner policy's name so tables and
 // logs are unchanged by tracing.
 func (t *Traced) Name() string { return t.inner.Name() }

@@ -209,9 +209,6 @@ func (a *Agent) SetInt8(on bool) {
 	a.qint8 = nn.Quantize(a.q)
 }
 
-// Int8 reports whether frozen int8 inference is active.
-func (a *Agent) Int8() bool { return a.qint8 != nil }
-
 // Victim implements policy.Policy: ε-greedy argmax over the network's
 // per-way quality estimates, with reward generation and replay/training on
 // the side when learning is enabled.

@@ -73,15 +73,6 @@ func AllFeatures() FeatureSet {
 	return fs
 }
 
-// Only returns a mask with exactly the given features enabled.
-func Only(fs ...Feature) FeatureSet {
-	var out FeatureSet
-	for _, f := range fs {
-		out[f] = true
-	}
-	return out
-}
-
 // With returns a copy of the set with f enabled.
 func (s FeatureSet) With(f Feature) FeatureSet {
 	s[f] = true

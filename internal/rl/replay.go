@@ -34,13 +34,6 @@ func NewReplay(capacity int) *Replay {
 	return &Replay{buf: make([]Transition, capacity)}
 }
 
-// Push stores a transition, overwriting the oldest when full. The memory
-// keeps the caller's slices; use Put on the hot path to recycle buffers.
-func (r *Replay) Push(t Transition) {
-	r.buf[r.next] = t
-	r.advance()
-}
-
 // Put stores a transition by copying state and nextState into the evicted
 // slot's recycled buffers: after the ring has been around once, Put does no
 // heap allocation. A nil or empty nextState marks a terminal transition

@@ -43,13 +43,6 @@ func (s *Sharded) SetSim(sim *cachesim.Simulator) {
 	}
 }
 
-// SetOracle attaches the reward oracle to every shard.
-func (s *Sharded) SetOracle(o *policy.Oracle) {
-	for _, a := range s.agents {
-		a.SetOracle(o)
-	}
-}
-
 // SetTraining toggles learning on every shard.
 func (s *Sharded) SetTraining(on bool) {
 	for _, a := range s.agents {

@@ -36,7 +36,7 @@ func TestShardedLearnsCyclic(t *testing.T) {
 		Epochs: 5,
 	}
 	accesses := cyclicTrace(6, 300)
-	sh := TrainSharded(cc, 2, accesses, opts)
+	sh, _ := TrainShardedParallel(cc, 2, accesses, opts)
 	got := EvaluateSharded(cc, sh, accesses)
 	if got.Hits == 0 {
 		t.Error("sharded agent learned nothing on the cyclic pattern")

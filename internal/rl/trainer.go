@@ -109,10 +109,6 @@ func (t *Trainer) TotalSteps() uint64 {
 	return uint64(t.epoch)*uint64(len(t.accesses)) + uint64(t.cursor)
 }
 
-// Agent returns the agent being trained (still in training mode until
-// Finish is called).
-func (t *Trainer) Agent() *Agent { return t.agent }
-
 // beginEpoch starts the current epoch exactly the way the original Train
 // loop did: rewind the oracle's replay cursor, build a fresh simulator
 // (whose Init drops any pending cross-epoch transition), and attach it.
@@ -268,27 +264,6 @@ func Evaluate(cfg cache.Config, agent *Agent, accesses []trace.Access) cachesim.
 	return sim.Run(accesses)
 }
 
-// TrainSharded trains an n-way sharded agent (§III-A's multiple-agents
-// option) on one LLC access trace and returns it ready for evaluation.
-func TrainSharded(cfg cache.Config, n int, accesses []trace.Access, opts TrainOptions) *Sharded {
-	sh := NewSharded(n, opts.Agent)
-	oracle := policy.NewOracle(accesses, cfg.LineSize)
-	sh.SetOracle(oracle)
-	sh.SetTraining(true)
-	epochs := opts.Epochs
-	if epochs < 1 {
-		epochs = 1
-	}
-	for e := 0; e < epochs; e++ {
-		oracle.ResetReplay() // keep reward queries on the O(1) in-order path
-		sim := cachesim.New(cfg, 1, sh)
-		sh.SetSim(sim)
-		sim.Run(accesses)
-	}
-	sh.SetTraining(false)
-	return sh
-}
-
 // EvaluateSharded replays accesses under a greedy sharded agent.
 func EvaluateSharded(cfg cache.Config, sh *Sharded, accesses []trace.Access) cachesim.Stats {
 	sh.SetTraining(false)
@@ -341,12 +316,8 @@ type ShardStats struct {
 // Determinism contract: each shard's training is a pure function of its
 // sub-trace and seed — shards share nothing mutable — so results are
 // byte-identical across any worker count, and the stats merge always runs
-// in shard-index order. This is a different (deterministic) training
-// schedule from the sequential TrainSharded, which interleaves all shards
-// over one shared simulator: the per-shard replay order and the
-// access-preuse probe contents differ, so the two produce statistically
-// equivalent but not byte-identical agents. Evaluation composes the
-// shards exactly as TrainSharded does (set index modulo n).
+// in shard-index order. Evaluation composes the shards over one shared
+// simulator, routing each access to its shard by set index modulo n.
 func TrainShardedParallel(cfg cache.Config, n int, accesses []trace.Access, opts TrainOptions) (*Sharded, []ShardStats) {
 	sh := NewSharded(n, opts.Agent)
 	epochs := opts.Epochs

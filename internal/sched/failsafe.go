@@ -1,80 +1,16 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"time"
 )
 
-// Per-job resilience wrappers in the failsafe style: small composable
-// policies that decorate a job rather than a bespoke retry loop at every
-// call site. The harness composes them around grid cells for long
-// unattended sweeps (flaky I/O, wedged jobs) without touching the cells
-// themselves.
-
-// Job is a unit of work under resilience policies.
+// Job is a unit of work under a resilience policy.
 type Job func() error
 
 // Wrapper decorates a Job with one resilience policy.
 type Wrapper func(Job) Job
-
-// Compose applies wrappers around job outermost-first, so
-// Compose(job, Retry(3, 0), Deadline(d)) retries a job whose every attempt
-// is bounded by d.
-func Compose(job Job, wrappers ...Wrapper) Job {
-	for i := len(wrappers) - 1; i >= 0; i-- {
-		job = wrappers[i](job)
-	}
-	return job
-}
-
-// retrySleepCap saturates Retry's exponential backoff: doubling stops
-// once the sleep reaches a minute, instead of overflowing time.Duration.
-const retrySleepCap = time.Minute
-
-// retrySleep is the backoff before retry attempt a (a >= 1): backoff
-// doubled a-1 times, saturating at retrySleepCap. The naive backoff<<(a-1)
-// overflows int64 once the shift passes ~62 bits — a negative Duration
-// that time.Sleep treats as zero, silently turning late retries into a
-// hot loop — so both the shift width and the product are clamped.
-func retrySleep(backoff time.Duration, a int) time.Duration {
-	shift := uint(a - 1)
-	if shift >= 63 || backoff > retrySleepCap>>shift {
-		return retrySleepCap
-	}
-	return backoff << shift
-}
-
-// Retry re-runs a failing job until it succeeds or attempts total runs have
-// been made, sleeping backoff, 2·backoff, 4·backoff… between runs, capped
-// at retrySleepCap (pass 0 for immediate retries). The last error is
-// returned. Panics (already converted to *PanicError by the pool or
-// Deadline) are not retried: the jobs here are deterministic, so a panic
-// would simply repeat.
-func Retry(attempts int, backoff time.Duration) Wrapper {
-	if attempts < 1 {
-		attempts = 1
-	}
-	return func(job Job) Job {
-		return func() error {
-			var err error
-			for a := 0; a < attempts; a++ {
-				if a > 0 && backoff > 0 {
-					time.Sleep(retrySleep(backoff, a))
-				}
-				if err = job(); err == nil {
-					return nil
-				}
-				var pe *PanicError
-				if errors.As(err, &pe) {
-					return err
-				}
-			}
-			return err
-		}
-	}
-}
 
 // DeadlineError reports a job that exceeded its Deadline wrapper's limit.
 type DeadlineError struct {

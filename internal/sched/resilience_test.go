@@ -177,70 +177,6 @@ func TestStreamAllEmitsEveryIndex(t *testing.T) {
 	}
 }
 
-func TestRetryEventualSuccess(t *testing.T) {
-	calls := 0
-	job := Retry(3, 0)(func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err := job(); err != nil || calls != 3 {
-		t.Errorf("err=%v calls=%d, want success on third call", err, calls)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	calls := 0
-	boom := errors.New("permanent")
-	job := Retry(4, 0)(func() error { calls++; return boom })
-	if err := job(); !errors.Is(err, boom) || calls != 4 {
-		t.Errorf("err=%v calls=%d, want %v after 4 calls", err, calls, boom)
-	}
-}
-
-// TestRetrySleepNeverOverflows is the regression test for backoff<<(a-1)
-// overflowing time.Duration: around attempt 64 the shift wrapped into a
-// negative sleep (time.Sleep treats it as zero — a hot retry loop). The
-// schedule must stay positive, non-decreasing, and saturate at the cap.
-func TestRetrySleepNeverOverflows(t *testing.T) {
-	for _, backoff := range []time.Duration{time.Nanosecond, time.Millisecond, time.Second, retrySleepCap + time.Hour} {
-		prev := time.Duration(0)
-		for a := 1; a <= 200; a++ {
-			d := retrySleep(backoff, a)
-			if d <= 0 {
-				t.Fatalf("backoff=%v attempt=%d: sleep %v is not positive (overflow)", backoff, a, d)
-			}
-			if d > retrySleepCap {
-				t.Fatalf("backoff=%v attempt=%d: sleep %v exceeds cap %v", backoff, a, d, retrySleepCap)
-			}
-			if d < prev {
-				t.Fatalf("backoff=%v attempt=%d: sleep %v < previous %v (not monotone)", backoff, a, d, prev)
-			}
-			prev = d
-		}
-		if prev != retrySleepCap {
-			t.Errorf("backoff=%v: schedule should saturate at %v by attempt 200, got %v", backoff, retrySleepCap, prev)
-		}
-	}
-	if got := retrySleep(time.Second, 2); got != 2*time.Second {
-		t.Errorf("retrySleep(1s, 2) = %v, want 2s (doubling must still work below the cap)", got)
-	}
-}
-
-func TestRetryDoesNotRetryPanics(t *testing.T) {
-	calls := 0
-	job := Retry(5, 0)(func() error {
-		calls++
-		return &PanicError{Index: 0, Value: "deterministic crash"}
-	})
-	var pe *PanicError
-	if err := job(); !errors.As(err, &pe) || calls != 1 {
-		t.Errorf("err=%v calls=%d, want one call returning the PanicError", job(), calls)
-	}
-}
-
 func TestDeadlineExpires(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -269,26 +205,6 @@ func TestDeadlineRecoversJobPanic(t *testing.T) {
 	var pe *PanicError
 	if err := job(); !errors.As(err, &pe) || pe.Index != -1 {
 		t.Fatalf("got %v, want *PanicError{Index: -1}", job())
-	}
-}
-
-func TestComposeOrder(t *testing.T) {
-	// Retry outside Deadline: each attempt gets its own deadline, so a job
-	// that stalls once and then succeeds passes overall.
-	stalls := make(chan struct{}, 1)
-	stalls <- struct{}{}
-	var attempts atomic.Int32 // the wedged attempt outlives its deadline
-	job := Compose(func() error {
-		attempts.Add(1)
-		select {
-		case <-stalls:
-			time.Sleep(200 * time.Millisecond) // first attempt: wedged
-		default:
-		}
-		return nil
-	}, Retry(2, 0), Deadline(20*time.Millisecond))
-	if err := job(); err != nil || attempts.Load() != 2 {
-		t.Errorf("err=%v attempts=%d, want retry after the wedged attempt", err, attempts.Load())
 	}
 }
 

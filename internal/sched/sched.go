@@ -138,13 +138,6 @@ func releaseToken() {
 	tokens.mu.Unlock()
 }
 
-// helpersInUse reports the current outstanding helper count (tests).
-func helpersInUse() int {
-	tokens.mu.Lock()
-	defer tokens.mu.Unlock()
-	return tokens.inUse
-}
-
 // firstError tracks the error of the lowest-indexed failed job, matching
 // what a serial left-to-right run would have returned.
 type firstError struct {

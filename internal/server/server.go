@@ -195,9 +195,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Config returns the (defaulted) configuration the server runs.
-func (s *Server) Config() Config { return s.cfg }
-
 // blockBits bounds the synthetic block address so that block*lineSize
 // still fits a 64-bit byte address (the tag store derives Line.Block as
 // addr >> log2(lineSize); a wider block would silently truncate and break

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -303,15 +304,19 @@ func TestSpansOverHTTP(t *testing.T) {
 		t.Error("hit span must carry Hit=true")
 	}
 
-	// /spans serves the ring as JSONL, parseable by ReadSpans.
+	// /spans serves the ring as JSONL, one span per line.
 	resp, err := client.Get(ts.URL + "/spans")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	served, err := obs.ReadSpans(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	var served []obs.Span
+	for dec := json.NewDecoder(resp.Body); dec.More(); {
+		var sp obs.Span
+		if err := dec.Decode(&sp); err != nil {
+			t.Fatalf("span %d: %v", len(served), err)
+		}
+		served = append(served, sp)
 	}
 	if len(served) != len(spans) {
 		t.Errorf("/spans served %d spans, want %d", len(served), len(spans))

@@ -54,15 +54,6 @@ func MixSpeedup(ipc, ipcLRU []float64) (float64, error) {
 	return mathx.GeoMean(ratios)
 }
 
-// MPKI converts a miss count over an instruction count into misses per
-// kilo-instruction.
-func MPKI(misses, instructions uint64) float64 {
-	if instructions == 0 {
-		return 0
-	}
-	return 1000 * float64(misses) / float64(instructions)
-}
-
 // Table is a printable experiment result.
 type Table struct {
 	Title  string

@@ -11,23 +11,22 @@
 //	index  := 'I' | u32 frameCount | frameCount×(u64 offset | u64 startSeq | u32 count) | u32 crc
 //	trailer:= u64 indexOffset | "RLRC1E"
 //
-// Each frame's payload is the same per-record varint encoding AccessWriter
-// uses (type/core byte, uvarint PC, uvarint Addr), independently decodable
-// per frame; with CodecFlate the payload is DEFLATE-compressed and rawLen
+// Each frame's payload is a run of varint records (one type/core byte
+// type<<2|core, uvarint PC, uvarint Addr), independently decodable per
+// frame; with CodecFlate the payload is DEFLATE-compressed and rawLen
 // records the uncompressed size. The CRC covers the stored (possibly
 // compressed) payload, so bit flips are detected before decompression.
-// Truncated files fail with io.ErrUnexpectedEOF: a complete file always
-// ends in the index marker and trailer.
+// Truncated files fail at open: a complete file always ends in the index
+// marker and trailer.
 //
-// Sequential readers (ChunkedReader) need only an io.Reader and stop at the
-// index marker; indexed readers (ChunkedFile) need an io.ReaderAt plus the
-// file size, validate the trailer and index CRC, and serve random
-// frame-granular reads — the access path the representative-interval
-// selector and the streaming oracle's backward pass use.
+// This is the repository's one on-disk trace format, and ChunkedFile is
+// its one reader: it needs an io.ReaderAt plus the file size, validates
+// the trailer and index CRC at open, and serves random frame-granular
+// reads — the access path of rlrsim -trace, tracegen -stat, and the
+// representative-interval selector.
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -56,6 +55,10 @@ const (
 	// maxFramePayload bounds a frame's stored and raw payload size so a
 	// corrupt or adversarial length field cannot drive a huge allocation.
 	maxFramePayload = 1 << 28
+
+	// maxRecordBytes is the largest encoded record: the type/core byte
+	// and two uvarints.
+	maxRecordBytes = 1 + 2*binary.MaxVarintLen64
 )
 
 // Codec selects the per-frame payload encoding.
@@ -82,6 +85,10 @@ func (c Codec) String() string {
 // overflow, trailing garbage) so callers can distinguish corruption from
 // plain I/O errors with errors.Is.
 var ErrCorrupt = errors.New("trace: corrupt chunked container")
+
+// ErrBadMagic is returned when a file does not start with the chunked
+// container's magic.
+var ErrBadMagic = errors.New("trace: unrecognized trace file magic")
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
@@ -283,17 +290,9 @@ func (cw *ChunkedWriter) Close() error {
 	return cw.err
 }
 
-// frameDecoder decodes one stored frame payload into Access records. It is
-// reused across frames; all buffers grow to the largest frame seen.
-type frameDecoder struct {
-	payload []byte // stored payload scratch
-	raw     []byte // decompressed payload scratch
-	fr      io.ReadCloser
-}
-
-// decode validates the CRC, decompresses if needed, and appends exactly
-// count records to buf[:0].
-func (d *frameDecoder) decode(codec Codec, rawLen, count, wantCRC uint32, payload []byte, buf []Access) ([]Access, error) {
+// decodeFrame validates a stored frame payload's CRC, decompresses it if
+// needed, and appends exactly count records to buf[:0].
+func decodeFrame(codec Codec, rawLen, count, wantCRC uint32, payload []byte, buf []Access) ([]Access, error) {
 	if crc32.ChecksumIEEE(payload) != wantCRC {
 		return nil, corruptf("frame CRC mismatch")
 	}
@@ -304,24 +303,16 @@ func (d *frameDecoder) decode(codec Codec, rawLen, count, wantCRC uint32, payloa
 			return nil, corruptf("raw frame length %d != stored length %d", rawLen, len(payload))
 		}
 	case CodecFlate:
-		if cap(d.raw) < int(rawLen) {
-			d.raw = make([]byte, rawLen)
-		}
-		d.raw = d.raw[:rawLen]
-		if d.fr == nil {
-			d.fr = flate.NewReader(bytes.NewReader(payload))
-		} else if err := d.fr.(flate.Resetter).Reset(bytes.NewReader(payload), nil); err != nil {
-			return nil, err
-		}
-		if _, err := io.ReadFull(d.fr, d.raw); err != nil {
+		raw = make([]byte, rawLen)
+		fr := flate.NewReader(bytes.NewReader(payload))
+		if _, err := io.ReadFull(fr, raw); err != nil {
 			return nil, corruptf("frame decompress: %v", err)
 		}
 		// One extra read must hit EOF, or the frame holds trailing garbage.
 		var one [1]byte
-		if n, _ := d.fr.Read(one[:]); n != 0 {
+		if n, _ := fr.Read(one[:]); n != 0 {
 			return nil, corruptf("frame larger than declared raw length %d", rawLen)
 		}
-		raw = d.raw
 	default:
 		return nil, corruptf("unknown codec %d", codec)
 	}
@@ -373,193 +364,17 @@ func readFrameHeader(hdr []byte) (rawLen, payloadLen, count, crc uint32, err err
 		// Every record takes at least one byte.
 		return 0, 0, 0, 0, corruptf("frame count %d exceeds raw length %d", count, rawLen)
 	}
+	if uint64(rawLen) > uint64(count)*maxRecordBytes {
+		// The payload CRC does not cover rawLen: bound it before a flate
+		// frame allocates rawLen bytes to decompress into.
+		return 0, 0, 0, 0, corruptf("frame raw length %d exceeds %d records", rawLen, count)
+	}
 	return rawLen, payloadLen, count, crc, nil
-}
-
-// ChunkedReader streams accesses sequentially from a chunked container. It
-// needs only an io.Reader: frames are consumed in file order and the
-// embedded index is ignored (reading stops at the index marker). Memory
-// use is O(frame).
-type ChunkedReader struct {
-	br    *bufio.Reader
-	codec Codec
-	dec   frameDecoder
-	frame []Access
-	pos   int
-	seq   uint64
-	err   error
-}
-
-// NewChunkedReader validates the container header and positions the reader
-// at the first frame.
-func NewChunkedReader(r io.Reader) (*ChunkedReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, len(chunkedMagic)+6)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: reading chunked header: %w", err)
-	}
-	if string(head[:len(chunkedMagic)]) != chunkedMagic {
-		return nil, ErrBadMagic
-	}
-	if head[len(chunkedMagic)] != chunkedVersion {
-		return nil, corruptf("unsupported version %d", head[len(chunkedMagic)])
-	}
-	codec := Codec(head[len(chunkedMagic)+1])
-	if codec > CodecFlate {
-		return nil, corruptf("unknown codec %d", codec)
-	}
-	return &ChunkedReader{br: br, codec: codec}, nil
-}
-
-// nextFrame loads the next frame into cr.frame. It returns io.EOF at the
-// index marker (the end of the record stream).
-func (cr *ChunkedReader) nextFrame() error {
-	marker, err := cr.br.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			// A well-formed file ends with an index, not bare EOF.
-			return corruptf("missing index: %v", io.ErrUnexpectedEOF)
-		}
-		return err
-	}
-	switch marker {
-	case indexMarker:
-		// End of the record stream: validate the index and trailer so a
-		// truncated or bit-flipped tail is an error, not a clean EOF.
-		if err := cr.validateIndexAndTrailer(); err != nil {
-			return err
-		}
-		return io.EOF
-	case frameMarker:
-	default:
-		return corruptf("bad frame marker 0x%02x", marker)
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(cr.br, hdr[:]); err != nil {
-		return corruptf("frame header: %v", unexpectedEOF(err))
-	}
-	rawLen, payloadLen, count, crc, err := readFrameHeader(hdr[:])
-	if err != nil {
-		return err
-	}
-	if cap(cr.dec.payload) < int(payloadLen) {
-		cr.dec.payload = make([]byte, payloadLen)
-	}
-	payload := cr.dec.payload[:payloadLen]
-	if _, err := io.ReadFull(cr.br, payload); err != nil {
-		return corruptf("frame payload: %v", unexpectedEOF(err))
-	}
-	cr.frame, err = cr.dec.decode(cr.codec, rawLen, count, crc, payload, cr.frame)
-	if err != nil {
-		return err
-	}
-	cr.pos = 0
-	return nil
-}
-
-// validateIndexAndTrailer consumes and checks everything after the index
-// marker: entry CRC, trailer magic, record-count consistency with the
-// frames actually read, and absence of trailing bytes.
-func (cr *ChunkedReader) validateIndexAndTrailer() error {
-	var u32 [4]byte
-	if _, err := io.ReadFull(cr.br, u32[:]); err != nil {
-		return corruptf("index header: %v", unexpectedEOF(err))
-	}
-	frameCount := binary.LittleEndian.Uint32(u32[:])
-	if frameCount > maxFramePayload {
-		return corruptf("index frame count %d", frameCount)
-	}
-	body := make([]byte, 4+20*int(frameCount))
-	copy(body, u32[:])
-	if _, err := io.ReadFull(cr.br, body[4:]); err != nil {
-		return corruptf("index entries: %v", unexpectedEOF(err))
-	}
-	if _, err := io.ReadFull(cr.br, u32[:]); err != nil {
-		return corruptf("index CRC: %v", unexpectedEOF(err))
-	}
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(u32[:]) {
-		return corruptf("index CRC mismatch")
-	}
-	var total uint64
-	for i := 0; i < int(frameCount); i++ {
-		total += uint64(binary.LittleEndian.Uint32(body[4+i*20+16:]))
-	}
-	consumed := cr.seq + uint64(len(cr.frame)-cr.pos)
-	if total != consumed {
-		return corruptf("index records %d != frames read %d", total, consumed)
-	}
-	tail := make([]byte, 8+len(chunkedTrailer))
-	if _, err := io.ReadFull(cr.br, tail); err != nil {
-		return corruptf("trailer: %v", unexpectedEOF(err))
-	}
-	if string(tail[8:]) != chunkedTrailer {
-		return corruptf("bad trailer magic")
-	}
-	var one [1]byte
-	if n, _ := cr.br.Read(one[:]); n != 0 {
-		return corruptf("trailing bytes after trailer")
-	}
-	return nil
-}
-
-// Read returns the next record, or io.EOF after the last one. Errors are
-// sticky.
-func (cr *ChunkedReader) Read() (Access, error) {
-	if cr.err != nil {
-		return Access{}, cr.err
-	}
-	for cr.pos >= len(cr.frame) {
-		if err := cr.nextFrame(); err != nil {
-			cr.err = err
-			return Access{}, err
-		}
-	}
-	a := cr.frame[cr.pos]
-	cr.pos++
-	cr.seq++
-	return a, nil
-}
-
-// ReadFrame returns the next whole frame appended to buf[:0], or io.EOF
-// after the last frame. Records already consumed from the current frame by
-// Read are not returned again. Errors are sticky.
-func (cr *ChunkedReader) ReadFrame(buf []Access) ([]Access, error) {
-	if cr.err != nil {
-		return nil, cr.err
-	}
-	for cr.pos >= len(cr.frame) {
-		if err := cr.nextFrame(); err != nil {
-			cr.err = err
-			return nil, err
-		}
-	}
-	buf = append(buf[:0], cr.frame[cr.pos:]...)
-	cr.seq += uint64(len(cr.frame) - cr.pos)
-	cr.pos = len(cr.frame)
-	return buf, nil
-}
-
-// ReadAll drains the reader into a slice (tests and small traces only; the
-// point of the format is not having to do this).
-func (cr *ChunkedReader) ReadAll() ([]Access, error) {
-	var out []Access
-	for {
-		a, err := cr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, a)
-	}
 }
 
 // ChunkedFile is an indexed, random-access view of a chunked container. It
 // validates the trailer and index CRC at open time; frame payload CRCs are
-// validated on each read. ReadFrameAt is safe for concurrent use: every
-// call uses its own decode scratch unless a reusable one is attached with
-// NewFrameCursor.
+// validated on each read. ReadFrameAt is safe for concurrent use.
 type ChunkedFile struct {
 	ra    io.ReaderAt
 	size  int64
@@ -672,9 +487,6 @@ func (cf *ChunkedFile) Close() error {
 	return nil
 }
 
-// Codec returns the container's payload codec.
-func (cf *ChunkedFile) Codec() Codec { return cf.codec }
-
 // Frames implements FrameSource.
 func (cf *ChunkedFile) Frames() int { return len(cf.index) }
 
@@ -684,35 +496,8 @@ func (cf *ChunkedFile) NumAccesses() uint64 { return cf.total }
 // FrameStart implements FrameSource.
 func (cf *ChunkedFile) FrameStart(i int) uint64 { return cf.index[i].StartSeq }
 
-// FrameCount returns the number of accesses in frame i.
-func (cf *ChunkedFile) FrameCount(i int) int { return int(cf.index[i].Count) }
-
-// FrameContaining returns the index of the frame holding global access seq.
-// It panics if seq >= NumAccesses().
-func (cf *ChunkedFile) FrameContaining(seq uint64) int {
-	if seq >= cf.total {
-		panic(fmt.Sprintf("trace: FrameContaining(%d) beyond trace length %d", seq, cf.total))
-	}
-	lo, hi := 0, len(cf.index)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if cf.index[mid].StartSeq <= seq {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
-// ReadFrameAt implements FrameSource. Each call allocates its own decode
-// scratch; use a FrameCursor for repeated reads on one goroutine.
+// ReadFrameAt implements FrameSource.
 func (cf *ChunkedFile) ReadFrameAt(i int, buf []Access) ([]Access, error) {
-	var dec frameDecoder
-	return cf.readFrame(i, buf, &dec)
-}
-
-func (cf *ChunkedFile) readFrame(i int, buf []Access, dec *frameDecoder) ([]Access, error) {
 	if i < 0 || i >= len(cf.index) {
 		return nil, fmt.Errorf("trace: frame %d out of range [0,%d)", i, len(cf.index))
 	}
@@ -731,30 +516,16 @@ func (cf *ChunkedFile) readFrame(i int, buf []Access, dec *frameDecoder) ([]Acce
 	if count != m.Count {
 		return nil, corruptf("frame %d: header count %d != index count %d", i, count, m.Count)
 	}
-	if cap(dec.payload) < int(payloadLen) {
-		dec.payload = make([]byte, payloadLen)
+	// Check the payload fits in the file before allocating for it, so a
+	// corrupt length field cannot cost up to maxFramePayload bytes.
+	if int64(m.Offset)+17+int64(payloadLen) > cf.size {
+		return nil, corruptf("frame %d: payload length %d runs past the end of the file", i, payloadLen)
 	}
-	payload := dec.payload[:payloadLen]
+	payload := make([]byte, payloadLen)
 	if _, err := cf.ra.ReadAt(payload, int64(m.Offset)+17); err != nil {
 		return nil, corruptf("frame %d payload: %v", i, err)
 	}
-	return dec.decode(cf.codec, rawLen, count, crc, payload, buf)
-}
-
-// FrameCursor reads frames from a ChunkedFile reusing one decode scratch.
-// Not safe for concurrent use; create one per goroutine.
-type FrameCursor struct {
-	cf  *ChunkedFile
-	dec frameDecoder
-}
-
-// NewFrameCursor returns a cursor over cf.
-func NewFrameCursor(cf *ChunkedFile) *FrameCursor { return &FrameCursor{cf: cf} }
-
-// ReadFrameAt appends frame i's accesses to buf[:0], reusing the cursor's
-// scratch buffers.
-func (fc *FrameCursor) ReadFrameAt(i int, buf []Access) ([]Access, error) {
-	return fc.cf.readFrame(i, buf, &fc.dec)
+	return decodeFrame(cf.codec, rawLen, count, crc, payload, buf)
 }
 
 // SliceFrames adapts an in-memory []Access to the FrameSource interface,

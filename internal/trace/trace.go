@@ -1,5 +1,6 @@
 // Package trace defines the access-trace records that flow through both
-// simulators and a compact binary on-disk format for them.
+// simulators and the one on-disk format for access traces, the chunked
+// container (chunked.go).
 //
 // The paper's methodology (§III-A) generates LLC access traces with ChampSim
 // and replays them in an LLC-only simulator for RL training and Belady; the
@@ -12,13 +13,7 @@
 //     optional memory operand, and the memory operation kind.
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // AccessType categorizes an LLC reference, matching the four types the
 // paper's trace format records: load, request-for-ownership (store miss),
@@ -79,264 +74,4 @@ type Instr struct {
 	PC   uint64
 	Addr uint64 // memory operand address; meaningful only when Kind != MemNone
 	Kind MemKind
-}
-
-// magic numbers identifying the two binary trace formats.
-const (
-	accessMagic = "RLRA1\n"
-	instrMagic  = "RLRI1\n"
-)
-
-// ErrBadMagic is returned when a trace file does not start with the expected
-// format identifier.
-var ErrBadMagic = errors.New("trace: unrecognized trace file magic")
-
-// AccessWriter streams Access records to w in a delta/varint-compressed
-// binary format.
-type AccessWriter struct {
-	bw      *bufio.Writer
-	started bool
-	buf     [binary.MaxVarintLen64]byte
-}
-
-// NewAccessWriter returns an AccessWriter that writes its header lazily on
-// the first record (or on Flush for an empty trace).
-func NewAccessWriter(w io.Writer) *AccessWriter {
-	return &AccessWriter{bw: bufio.NewWriter(w)}
-}
-
-func (aw *AccessWriter) ensureHeader() error {
-	if aw.started {
-		return nil
-	}
-	aw.started = true
-	_, err := aw.bw.WriteString(accessMagic)
-	return err
-}
-
-func (aw *AccessWriter) putUvarint(v uint64) error {
-	n := binary.PutUvarint(aw.buf[:], v)
-	_, err := aw.bw.Write(aw.buf[:n])
-	return err
-}
-
-// Write appends one access record.
-func (aw *AccessWriter) Write(a Access) error {
-	if err := aw.ensureHeader(); err != nil {
-		return err
-	}
-	if err := aw.bw.WriteByte(byte(a.Type)<<2 | byte(a.Core)&0x3); err != nil {
-		return err
-	}
-	if err := aw.putUvarint(a.PC); err != nil {
-		return err
-	}
-	return aw.putUvarint(a.Addr)
-}
-
-// Flush writes any buffered data (and the header, for an empty trace) to the
-// underlying writer.
-func (aw *AccessWriter) Flush() error {
-	if err := aw.ensureHeader(); err != nil {
-		return err
-	}
-	return aw.bw.Flush()
-}
-
-// AccessReader streams Access records from the format produced by
-// AccessWriter.
-type AccessReader struct {
-	br  *bufio.Reader
-	err error
-}
-
-// NewAccessReader validates the header and returns a reader positioned at
-// the first record.
-func NewAccessReader(r io.Reader) (*AccessReader, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(accessMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if string(head) != accessMagic {
-		return nil, ErrBadMagic
-	}
-	return &AccessReader{br: br}, nil
-}
-
-// Read returns the next record, or io.EOF after the last one.
-func (ar *AccessReader) Read() (Access, error) {
-	if ar.err != nil {
-		return Access{}, ar.err
-	}
-	tb, err := ar.br.ReadByte()
-	if err != nil {
-		ar.err = err
-		return Access{}, err
-	}
-	var a Access
-	a.Type = AccessType(tb >> 2)
-	a.Core = tb & 0x3
-	if a.Type >= NumAccessTypes {
-		ar.err = fmt.Errorf("trace: corrupt record: access type %d", a.Type)
-		return Access{}, ar.err
-	}
-	if a.PC, err = binary.ReadUvarint(ar.br); err != nil {
-		ar.err = unexpectedEOF(err)
-		return Access{}, ar.err
-	}
-	if a.Addr, err = binary.ReadUvarint(ar.br); err != nil {
-		ar.err = unexpectedEOF(err)
-		return Access{}, ar.err
-	}
-	return a, nil
-}
-
-// ReadAll drains the reader into a slice.
-func (ar *AccessReader) ReadAll() ([]Access, error) {
-	var out []Access
-	for {
-		a, err := ar.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, a)
-	}
-}
-
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// InstrWriter streams Instr records in a compact binary format. PCs are
-// delta-encoded against the previous PC since instruction streams are mostly
-// sequential.
-type InstrWriter struct {
-	bw      *bufio.Writer
-	started bool
-	lastPC  uint64
-	buf     [binary.MaxVarintLen64]byte
-}
-
-// NewInstrWriter returns an InstrWriter over w.
-func NewInstrWriter(w io.Writer) *InstrWriter {
-	return &InstrWriter{bw: bufio.NewWriter(w)}
-}
-
-func (iw *InstrWriter) putUvarint(v uint64) error {
-	n := binary.PutUvarint(iw.buf[:], v)
-	_, err := iw.bw.Write(iw.buf[:n])
-	return err
-}
-
-func (iw *InstrWriter) putVarint(v int64) error {
-	n := binary.PutVarint(iw.buf[:], v)
-	_, err := iw.bw.Write(iw.buf[:n])
-	return err
-}
-
-// Write appends one instruction record.
-func (iw *InstrWriter) Write(ins Instr) error {
-	if !iw.started {
-		iw.started = true
-		if _, err := iw.bw.WriteString(instrMagic); err != nil {
-			return err
-		}
-	}
-	if err := iw.bw.WriteByte(byte(ins.Kind)); err != nil {
-		return err
-	}
-	if err := iw.putVarint(int64(ins.PC) - int64(iw.lastPC)); err != nil {
-		return err
-	}
-	iw.lastPC = ins.PC
-	if ins.Kind != MemNone {
-		return iw.putUvarint(ins.Addr)
-	}
-	return nil
-}
-
-// Flush writes any buffered data (and the header, for an empty trace).
-func (iw *InstrWriter) Flush() error {
-	if !iw.started {
-		iw.started = true
-		if _, err := iw.bw.WriteString(instrMagic); err != nil {
-			return err
-		}
-	}
-	return iw.bw.Flush()
-}
-
-// InstrReader streams Instr records written by InstrWriter.
-type InstrReader struct {
-	br     *bufio.Reader
-	lastPC uint64
-	err    error
-}
-
-// NewInstrReader validates the header and returns a reader positioned at the
-// first record.
-func NewInstrReader(r io.Reader) (*InstrReader, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(instrMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if string(head) != instrMagic {
-		return nil, ErrBadMagic
-	}
-	return &InstrReader{br: br}, nil
-}
-
-// Read returns the next record, or io.EOF after the last one.
-func (ir *InstrReader) Read() (Instr, error) {
-	if ir.err != nil {
-		return Instr{}, ir.err
-	}
-	kb, err := ir.br.ReadByte()
-	if err != nil {
-		ir.err = err
-		return Instr{}, err
-	}
-	var ins Instr
-	ins.Kind = MemKind(kb)
-	if ins.Kind > MemLoadDep {
-		ir.err = fmt.Errorf("trace: corrupt record: mem kind %d", kb)
-		return Instr{}, ir.err
-	}
-	delta, err := binary.ReadVarint(ir.br)
-	if err != nil {
-		ir.err = unexpectedEOF(err)
-		return Instr{}, ir.err
-	}
-	ins.PC = uint64(int64(ir.lastPC) + delta)
-	ir.lastPC = ins.PC
-	if ins.Kind != MemNone {
-		if ins.Addr, err = binary.ReadUvarint(ir.br); err != nil {
-			ir.err = unexpectedEOF(err)
-			return Instr{}, ir.err
-		}
-	}
-	return ins, nil
-}
-
-// ReadAll drains the reader into a slice.
-func (ir *InstrReader) ReadAll() ([]Instr, error) {
-	var out []Instr
-	for {
-		ins, err := ir.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ins)
-	}
 }

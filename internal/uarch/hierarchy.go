@@ -239,12 +239,6 @@ func NewHierarchy(cfg Config, pol policy.Policy) *Hierarchy {
 // SetLLCObserver installs fn on the LLC access path (nil to remove).
 func (h *Hierarchy) SetLLCObserver(fn LLCObserver) { h.observer = fn }
 
-// Stats returns the accumulated LLC statistics.
-func (h *Hierarchy) Stats() LLCStats { return h.stats }
-
-// Policy returns the LLC replacement policy instance.
-func (h *Hierarchy) Policy() policy.Policy { return h.pol }
-
 // KPCPFor returns the core's KPC-P engine, or nil when another prefetcher
 // is configured. KPC-R wires its Confidence callback through this.
 func (h *Hierarchy) KPCPFor(core int) *KPCP { return h.kpcp[core] }

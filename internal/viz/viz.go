@@ -92,54 +92,6 @@ func BarChart(t *stats.Table, col int) string {
 	return sb.String()
 }
 
-// GroupedChart renders every numeric column of a table as grouped bars per
-// row — the Figure 10 layout (one group per benchmark, one bar per
-// policy).
-func GroupedChart(t *stats.Table) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", t.Title)
-	// Global scale across all numeric cells.
-	lo, hi := 0.0, 0.0
-	for _, row := range t.Rows {
-		for _, cell := range row[1:] {
-			if v, ok := parseCell(cell); ok {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-		}
-	}
-	span := hi - lo
-	if span == 0 {
-		span = 1
-	}
-	nameW := 0
-	for _, h := range t.Header[1:] {
-		if len(h) > nameW {
-			nameW = len(h)
-		}
-	}
-	for _, row := range t.Rows {
-		fmt.Fprintf(&sb, "%s\n", row[0])
-		for i, cell := range row[1:] {
-			v, ok := parseCell(cell)
-			if !ok {
-				continue
-			}
-			n := int(math.Round(math.Abs(v) / span * maxBarWidth))
-			mark := "█"
-			if v < 0 {
-				mark = "▒"
-			}
-			fmt.Fprintf(&sb, "  %-*s %s %s\n", nameW, t.Header[i+1], strings.Repeat(mark, n), strings.TrimSpace(cell))
-		}
-	}
-	return sb.String()
-}
-
 // HeatMap renders a numeric matrix table with shade characters per cell —
 // the Figure 3 visual. Values are expected in [0, 1].
 func HeatMap(t *stats.Table) string {

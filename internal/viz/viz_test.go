@@ -60,18 +60,6 @@ func TestBarChartNonNumeric(t *testing.T) {
 	}
 }
 
-func TestGroupedChart(t *testing.T) {
-	out := GroupedChart(demoTable())
-	for _, want := range []string{"mcf", "RLR", "DRRIP", "26.49%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("grouped chart missing %q:\n%s", want, out)
-		}
-	}
-	if !strings.Contains(out, "▒") {
-		t.Errorf("grouped chart should shade negative bars:\n%s", out)
-	}
-}
-
 func TestHeatMap(t *testing.T) {
 	tb := &stats.Table{Title: "heat", Header: []string{"feature", "b1", "b2"}}
 	tb.AddRow("preuse", "1.00", "0.75")

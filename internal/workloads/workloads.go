@@ -336,16 +336,6 @@ func (g *generator) Next() trace.Instr {
 	return trace.Instr{PC: memPC, Addr: addr, Kind: kind}
 }
 
-// Generate materializes n instructions from a fresh generator of the spec.
-func Generate(spec Spec, n int) []trace.Instr {
-	g := New(spec)
-	out := make([]trace.Instr, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
 // LLCAccesses derives an LLC access stream of n records directly from the
 // spec's instruction stream: every memory operation becomes one access
 // (loads and dependent loads as LD, stores as RFO), with no upper-level
@@ -378,17 +368,6 @@ func ByName(name string) (Spec, error) {
 		}
 	}
 	return Spec{}, fmt.Errorf("workloads: unknown workload %q", name)
-}
-
-// Names returns all registered workload names, SPEC first, each suite
-// sorted.
-func Names() []string {
-	specs := All()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	return names
 }
 
 // SPECNames returns the 29 SPEC-2006-like workload names, sorted.

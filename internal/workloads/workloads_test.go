@@ -266,3 +266,13 @@ func TestNewPanicsOnEmptyPhases(t *testing.T) {
 	}()
 	New(Spec{Name: "bad"})
 }
+
+// Generate materializes n instructions from a fresh generator of the spec.
+func Generate(spec Spec, n int) []trace.Instr {
+	g := New(spec)
+	out := make([]trace.Instr, n)
+	for i := range out {
+		out[i] = g.Next()
+	}
+	return out
+}

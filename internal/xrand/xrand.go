@@ -114,18 +114,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the Box-Muller transform.
-func (r *Rand) NormFloat64() float64 {
-	// Rejection-free polar-less Box-Muller; u1 must be > 0.
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // Perm returns a pseudo-random permutation of [0, n) as a slice of ints.
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
@@ -137,15 +125,6 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of the first n elements using the
-// provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Geometric returns a sample from a geometric distribution with success

@@ -18,7 +18,7 @@ go build -o "$dir/tracegen" ./cmd/tracegen
 go build -o "$dir/benchjson" ./cmd/benchjson
 
 echo "intervals-smoke: chunked trace round trip..."
-"$dir/tracegen" -workload 429.mcf -llc -chunked -compress -n 50000 \
+"$dir/tracegen" -workload 429.mcf -compress -n 50000 \
     -o "$dir/mcf.llct" 2> /dev/null
 "$dir/tracegen" -stat "$dir/mcf.llct" > "$dir/stat.out"
 grep -q "accesses:      50000" "$dir/stat.out" || {
