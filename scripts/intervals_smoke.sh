@@ -8,14 +8,18 @@
 # on one small workload, validating the emitted JSON:
 #   - every workload entry must carry a finite kendall_tau;
 #   - the representative pass must simulate fewer accesses than the trace.
+# rlrsim then replays the chunked trace under LRU, Belady, the RL agent
+# (trained on the trace) and its int8 copy, and its output must match
+# testdata/rlrsim_mcf.txt line for line.
 set -eu
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT INT TERM
 
-echo "intervals-smoke: building tracegen and benchjson..."
+echo "intervals-smoke: building tracegen, rlrsim and benchjson..."
 go build -o "$dir/tracegen" ./cmd/tracegen
 go build -o "$dir/benchjson" ./cmd/benchjson
+go build -o "$dir/rlrsim" ./cmd/rlrsim
 
 echo "intervals-smoke: chunked trace round trip..."
 "$dir/tracegen" -workload 429.mcf -compress -n 50000 \
@@ -26,6 +30,14 @@ grep -q "accesses:      50000" "$dir/stat.out" || {
     cat "$dir/stat.out" >&2
     exit 1
 }
+
+echo "intervals-smoke: rlrsim replay of the chunked trace..."
+"$dir/rlrsim" -trace "$dir/mcf.llct" -policy lru,belady,rl,rl-int8 -jobs 1 \
+    > "$dir/rlrsim.out" 2> /dev/null
+if ! diff testdata/rlrsim_mcf.txt "$dir/rlrsim.out" >&2; then
+    echo "intervals-smoke: FAIL — rlrsim output differs from testdata/rlrsim_mcf.txt" >&2
+    exit 1
+fi
 
 echo "intervals-smoke: representative-interval quick benchmark..."
 "$dir/benchjson" -intervals -quick -o "$dir/intervals.json" 2> /dev/null
