@@ -9,8 +9,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// testShapes covers tile boundaries of the 4×4 kernel: widths below one
-// tile, exact multiples, ragged remainders, and the paper-sized net.
+// testShapes covers the tile boundaries of the kernels (4-row groups,
+// 8-column tiles, 16-column strips): widths below one tile, exact
+// multiples, ragged remainders, inputs of 1–3, and the paper-sized net.
 var testShapes = []struct {
 	name   string
 	inputs int
@@ -23,6 +24,9 @@ var testShapes = []struct {
 	{"deep", 13, []LayerSpec{{Units: 11, Act: Tanh}, {Units: 7, Act: ReLU}, {Units: 5, Act: Tanh}, {Units: 2, Act: Linear}}},
 	{"paper", 334, []LayerSpec{{Units: 175, Act: Tanh}, {Units: 16, Act: Linear}}},
 	{"kband", 1200, []LayerSpec{{Units: 6, Act: Tanh}, {Units: 2, Act: Linear}}}, // spans multiple k-bands
+	{"in1", 1, []LayerSpec{{Units: 9, Act: Tanh}, {Units: 1, Act: Linear}}},
+	{"in2", 2, []LayerSpec{{Units: 3, Act: ReLU}, {Units: 7, Act: Linear}}},
+	{"strips", 3, []LayerSpec{{Units: 17, Act: Tanh}, {Units: 15, Act: Tanh}, {Units: 5, Act: Linear}}},
 }
 
 // testBatches covers 1–3 rows (the 1-row kernel only), exact 4-row
@@ -439,6 +443,105 @@ func TestAdamVectorMatchesScalar(t *testing.T) {
 				}
 				if math.Float64bits(vec.g[i]) != 0 || math.Float64bits(sc.g[i]) != 0 {
 					t.Fatalf("n=%d step %d g[%d] not cleared: avx2 %v scalar %v", n, step, i, vec.g[i], sc.g[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAccumGradsMatchesSkippingReference pins the zero-delta argument in
+// accumGrads: the kernels add d·y for every sample, where BackwardRef
+// skips a sample whose delta is zero. Over random shapes with ±0 in both
+// the deltas and the activations, and with starting gradients chosen so
+// that some cells cancel to exactly zero before more ±0 terms arrive,
+// every cell must match the skipping loop bit for bit, on both kernel
+// paths.
+func TestAccumGradsMatchesSkippingReference(t *testing.T) {
+	rng := xrand.New(31)
+	zeroish := func() float64 {
+		switch rng.Uint64n(4) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		}
+		return rng.Float64()*4 - 2
+	}
+	paths := []bool{false}
+	if useAVX2 {
+		paths = append(paths, true)
+	}
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	for trial := 0; trial < 200; trial++ {
+		in, out, b := int(rng.Uint64n(12))+1, int(rng.Uint64n(20))+1, int(rng.Uint64n(10))+1
+		y := make([]float64, b*in)
+		for i := range y {
+			y[i] = zeroish()
+		}
+		l := &layer{in: in, out: out}
+		l.ensureTrain(b)
+		for i := range l.d[:b*out] {
+			l.d[i] = zeroish()
+		}
+		// Start each cell at the negated first live term, so it cancels to
+		// +0 there, or at a random value.
+		g0 := make([]float64, in*out)
+		gb0 := make([]float64, out)
+		for o := 0; o < out; o++ {
+			for r := 0; r < b; r++ {
+				if d := l.d[r*out+o]; d != 0 {
+					gb0[o] = -d
+					for i := 0; i < in; i++ {
+						g0[i*out+o] = -(d * y[r*in+i])
+					}
+					break
+				}
+			}
+			if rng.Uint64n(3) == 0 {
+				gb0[o] = zeroish()
+				for i := 0; i < in; i++ {
+					g0[i*out+o] = zeroish()
+				}
+			}
+		}
+		for i, v := range g0 { // a stored gradient is never −0
+			if v == 0 {
+				g0[i] = 0
+			}
+		}
+		for o, v := range gb0 {
+			if v == 0 {
+				gb0[o] = 0
+			}
+		}
+		want, wantB := append([]float64(nil), g0...), append([]float64(nil), gb0...)
+		for o := 0; o < out; o++ {
+			for r := 0; r < b; r++ {
+				d := l.d[r*out+o]
+				if d == 0 {
+					continue
+				}
+				for i := 0; i < in; i++ {
+					want[i*out+o] += d * y[r*in+i]
+				}
+				wantB[o] += d
+			}
+		}
+		for _, vec := range paths {
+			useAVX2 = vec
+			copy(l.gw, g0)
+			copy(l.gb, gb0)
+			accumGrads(l, y, b)
+			for i := range want {
+				if !bitsEqual(l.gw[i], want[i]) {
+					t.Fatalf("trial %d avx2=%v gw[%d]: %x, skipping loop %x",
+						trial, vec, i, math.Float64bits(l.gw[i]), math.Float64bits(want[i]))
+				}
+			}
+			for o := range wantB {
+				if !bitsEqual(l.gb[o], wantB[o]) {
+					t.Fatalf("trial %d avx2=%v gb[%d]: %x, skipping loop %x",
+						trial, vec, o, math.Float64bits(l.gb[o]), math.Float64bits(wantB[o]))
 				}
 			}
 		}

@@ -104,11 +104,11 @@ func TestMaskedBackward(t *testing.T) {
 	m.ZeroGrad()
 	m.Forward(x)
 	m.Backward([]float64{math.NaN(), 5})
-	l := m.layers[0]
-	if l.gw[0] != 0 || l.gw[1] != 0 || l.gb[0] != 0 {
+	l := m.layers[0] // gw is input-major: output o of input k at gw[k*2+o]
+	if l.gw[0] != 0 || l.gw[2] != 0 || l.gb[0] != 0 {
 		t.Error("masked output accumulated gradient")
 	}
-	if l.gw[2] == 0 || l.gb[1] == 0 {
+	if l.gw[1] == 0 || l.gb[1] == 0 {
 		t.Error("unmasked output accumulated no gradient")
 	}
 }

@@ -74,10 +74,9 @@ func Quantize(m *MLP) *Quantized {
 		}
 		copy(ql.b, l.b)
 		for o := 0; o < l.out; o++ {
-			row := l.w[o*l.in : (o+1)*l.in]
 			scale := 0.0
-			for _, v := range row {
-				if a := math.Abs(v); a > scale {
+			for k := 0; k < l.in; k++ {
+				if a := math.Abs(l.w[k*l.out+o]); a > scale {
 					scale = a
 				}
 			}
@@ -86,8 +85,8 @@ func Quantize(m *MLP) *Quantized {
 			}
 			scale /= qSteps
 			ql.deq[o] = scale / actSteps
-			for i, v := range row {
-				qv := math.Round(v / scale)
+			for i := 0; i < l.in; i++ {
+				qv := math.Round(l.w[i*l.out+o] / scale)
 				if qv > qSteps {
 					qv = qSteps
 				} else if qv < -qSteps {
