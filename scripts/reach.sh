@@ -119,7 +119,6 @@ cmd/rltrain/main.go:saveCheckpoint checkpoint write: crash-smoke writes checkpoi
 examples/* example programs the README lists; nothing measured runs them
 internal/cache/cache.go:Cache.SaveState checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/cache/cache.go:Cache.Stats cachesim and uarch tests read cache occupancy through it (another package)
-internal/cachesim/cachesim.go:Stats.DemandHitRate rlrsim output column
 internal/cachesim/cachesim.go:Simulator.SaveState checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/cachesim/preuse.go:preuseTable.* checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/cachesim/invariants.go:* invariant checker built by -tags simcheck (make check runs those suites)
@@ -131,7 +130,7 @@ internal/experiments/experiments.go:List cmd/experiments -list
 internal/experiments/experiments.go:SetKeepGoing cmd/experiments -keep-going
 internal/experiments/experiments.go:TrainedAgent examples/rlinsights
 internal/experiments/fig10.go:shortErr keep-going cell annotation, reached only when a cell fails
-internal/nn/batch.go:mm44 pure-Go kernel where AVX2 is absent (TestBackwardBatchPureGoPath pins it)
+internal/nn/batch.go:gemmGo pure-Go kernel where AVX2 is absent (TestForwardBatchPureGoPath and TestBackwardBatchPureGoPath pin it)
 internal/nn/nn.go:MLP.BackwardRef scalar reference the batched backward is checked against (batch tests, the hot-path benchmark)
 internal/nn/nn.go:MLP.SaveFull checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/obs/http.go:serveOn the -obs-addr endpoint of rlrsim and rltrain
@@ -156,7 +155,6 @@ internal/policy/traced.go:* rlrsim -obs-trace: victim decisions on the event str
 internal/profiling/profiling.go:AttachPprof the -obs-addr endpoint's /debug/pprof
 internal/refmodel/diff.go:* cmd/check counterexample path, reached only on a divergence
 internal/refmodel/refmodel.go:*.Name reference-model label in divergence reports
-internal/rl/agent.go:Agent.LoadModel rlrsim rl/rl-int8 rows
 internal/rl/agent.go:Agent.trainStepScalar training step where AVX2 is absent
 internal/rl/agent.go:maxOf scalar training step where AVX2 is absent
 internal/rl/replay.go:Replay.saveState checkpoint write (see cmd/rltrain saveCheckpoint)
@@ -172,7 +170,6 @@ internal/sched/memo.go:Memo.Len experiments tests count memoized results through
 internal/sched/sched.go:PanicError.Error error text for a panicking job
 internal/sched/sched.go:protectVal keep-going panic isolation, reached only when a job panics
 internal/sched/sched.go:firstError.record error path of ForEach/Map
-internal/sched/sched.go:Stream rlrsim runs its policy list through it
 internal/server/server.go:Server.Delete the server's HTTP DELETE API
 internal/server/server.go:Server.del the server's HTTP DELETE API
 internal/server/shard.go:shard.del the server's HTTP DELETE API
