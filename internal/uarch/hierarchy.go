@@ -22,15 +22,19 @@ func newLevel(cfg cache.Config, latency uint64, mshrs int) *level {
 	return &level{c: cache.New(cfg), latency: latency, mshr: newMSHRTable(mshrs)}
 }
 
-// mshrTable maps an in-flight block to its ready time. Entries sit in a
-// min-heap on ready time, so the pressure sweep pops exactly the completed
-// entries and never visits one still in flight. A flat open-addressed index
-// (linear probing, backward-shift deletion) finds a block's heap entry.
-// The sweep and clear rules in insert keep at most 4*bound entries, so
-// both arrays are sized once and nothing allocates afterwards.
+// mshrTable maps an in-flight block to its ready time. Entries sit in an
+// unordered dense slab, and low is a lower bound on every entry's ready
+// time: the pressure sweep scans the slab only when some entry may have
+// completed (low <= now), and recomputes low exactly from the survivors.
+// Removals leave low alone, since it stays a lower bound. A flat
+// open-addressed index (linear probing, backward-shift deletion) finds a
+// block's slab entry. The sweep and clear rules in insert keep at most
+// 4*bound entries, so both arrays are sized once and nothing allocates
+// afterwards.
 type mshrTable struct {
 	bound int
-	heap  []mshrEntry // min-heap on ready; len(heap) is the entry count
+	slab  []mshrEntry // unordered; len(slab) is the entry count
+	low   uint64      // a lower bound on every entry's ready time
 	index []mshrSlot  // len is a power of two, at least twice the capacity
 	shift uint        // 64 - log2(len(index))
 }
@@ -42,7 +46,7 @@ type mshrEntry struct {
 
 type mshrSlot struct {
 	key uint64 // block+1; 0 marks an empty slot
-	pos uint32 // this block's position in heap
+	pos uint32 // this block's position in slab
 }
 
 func newMSHRTable(bound int) mshrTable {
@@ -53,7 +57,8 @@ func newMSHRTable(bound int) mshrTable {
 	}
 	return mshrTable{
 		bound: bound,
-		heap:  make([]mshrEntry, 0, capacity),
+		slab:  make([]mshrEntry, 0, capacity),
+		low:   ^uint64(0),
 		index: make([]mshrSlot, size),
 		shift: shift,
 	}
@@ -67,7 +72,7 @@ func (t *mshrTable) lookup(addr, now uint64) (uint64, bool) {
 		return 0, false
 	}
 	pos := t.index[i].pos
-	ready := t.heap[pos].ready
+	ready := t.slab[pos].ready
 	if ready <= now {
 		t.remove(pos)
 		return 0, false
@@ -80,28 +85,33 @@ func (t *mshrTable) lookup(addr, now uint64) (uint64, bool) {
 // now); if 4*bound or more entries are still in flight after that, the
 // table is cleared.
 func (t *mshrTable) insert(addr, now, ready uint64) {
-	if len(t.heap) >= t.bound {
-		for len(t.heap) > 0 && t.heap[0].ready <= now {
-			t.remove(0)
-		}
-		if len(t.heap) >= 4*t.bound {
-			for _, e := range t.heap {
-				t.index[e.slot].key = 0
+	if len(t.slab) >= t.bound && t.low <= now {
+		t.low = ^uint64(0)
+		for pos := 0; pos < len(t.slab); {
+			if r := t.slab[pos].ready; r > now {
+				t.low = min(t.low, r)
+				pos++
+			} else {
+				t.remove(uint32(pos))
 			}
-			t.heap = t.heap[:0]
 		}
 	}
+	if len(t.slab) >= 4*t.bound {
+		for _, e := range t.slab {
+			t.index[e.slot].key = 0
+		}
+		t.slab = t.slab[:0]
+		t.low = ^uint64(0)
+	}
+	t.low = min(t.low, ready)
 	key := addr>>6 + 1
 	i, ok := t.find(key)
 	if ok {
-		pos := t.index[i].pos
-		t.heap[pos].ready = ready
-		t.fix(pos)
+		t.slab[t.index[i].pos].ready = ready
 		return
 	}
-	t.index[i] = mshrSlot{key: key, pos: uint32(len(t.heap))}
-	t.heap = append(t.heap, mshrEntry{ready: ready, slot: i})
-	t.fix(uint32(len(t.heap) - 1))
+	t.index[i] = mshrSlot{key: key, pos: uint32(len(t.slab))}
+	t.slab = append(t.slab, mshrEntry{ready: ready, slot: i})
 }
 
 // find returns key's index slot, or the empty slot where it would go.
@@ -122,16 +132,17 @@ func (t *mshrTable) home(key uint64) uint32 {
 	return uint32(key * 0x9E3779B97F4A7C15 >> t.shift)
 }
 
-// remove deletes the entry at heap position pos.
+// remove deletes the entry at slab position pos, moving the last entry
+// into its place.
 func (t *mshrTable) remove(pos uint32) {
-	t.unindex(t.heap[pos].slot)
-	last := uint32(len(t.heap) - 1)
-	moved := t.heap[last]
-	t.heap = t.heap[:last]
+	t.unindex(t.slab[pos].slot)
+	last := uint32(len(t.slab) - 1)
 	if pos < last {
-		t.place(pos, moved)
-		t.fix(pos)
+		e := t.slab[last]
+		t.slab[pos] = e
+		t.index[e.slot].pos = pos
 	}
+	t.slab = t.slab[:last]
 }
 
 // unindex empties index slot i, shifting later entries of its probe run
@@ -143,46 +154,11 @@ func (t *mshrTable) unindex(i uint32) {
 		// cyclically in (i, j].
 		if (j-t.home(t.index[j].key))&mask >= (j-i)&mask {
 			t.index[i] = t.index[j]
-			t.heap[t.index[i].pos].slot = i
+			t.slab[t.index[i].pos].slot = i
 			i = j
 		}
 	}
 	t.index[i].key = 0
-}
-
-// fix restores heap order after the entry at pos changed or arrived.
-func (t *mshrTable) fix(pos uint32) {
-	e := t.heap[pos]
-	for pos > 0 {
-		parent := (pos - 1) / 2
-		if t.heap[parent].ready <= e.ready {
-			break
-		}
-		t.place(pos, t.heap[parent])
-		pos = parent
-	}
-	n := uint32(len(t.heap))
-	for {
-		c := 2*pos + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && t.heap[c+1].ready < t.heap[c].ready {
-			c++
-		}
-		if e.ready <= t.heap[c].ready {
-			break
-		}
-		t.place(pos, t.heap[c])
-		pos = c
-	}
-	t.place(pos, e)
-}
-
-// place stores e at heap position pos and points its index slot there.
-func (t *mshrTable) place(pos uint32, e mshrEntry) {
-	t.heap[pos] = e
-	t.index[e.slot].pos = pos
 }
 
 // LLCStats aggregates LLC behaviour during a timing run.

@@ -249,7 +249,7 @@ func (t *mshrTable) peek(addr uint64) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return t.heap[t.index[i].pos].ready, true
+	return t.slab[t.index[i].pos].ready, true
 }
 
 // mapMSHR is the map-based MSHR table that mshrTable replaced, kept as the
@@ -289,26 +289,89 @@ func (l *mapMSHR) mshrInsert(addr, now, ready uint64) {
 	l.inflight[addr>>6] = ready
 }
 
-// checkMSHRTable fails unless tab holds exactly ref's entries, its heap is
-// ordered on ready time, and its heap and index point at each other.
+// checkMSHRTable fails unless tab holds exactly ref's entries, low bounds
+// every entry's ready time, and its slab and index point at each other.
 func checkMSHRTable(t *testing.T, step int, tab *mshrTable, ref *mapMSHR) {
 	t.Helper()
-	if len(tab.heap) != len(ref.inflight) {
-		t.Fatalf("step %d: %d entries, reference has %d", step, len(tab.heap), len(ref.inflight))
+	if len(tab.slab) != len(ref.inflight) {
+		t.Fatalf("step %d: %d entries, reference has %d", step, len(tab.slab), len(ref.inflight))
 	}
 	for block, want := range ref.inflight {
 		if got, ok := tab.peek(block << 6); !ok || got != want {
 			t.Fatalf("step %d: block %#x holds (%d, %v), reference %d", step, block, got, ok, want)
 		}
 	}
-	for pos, e := range tab.heap {
-		if pos > 0 && tab.heap[(pos-1)/2].ready > e.ready {
-			t.Fatalf("step %d: heap order broken at %d", step, pos)
+	for pos, e := range tab.slab {
+		if e.ready < tab.low {
+			t.Fatalf("step %d: slab entry %d is ready at %d, below the watermark %d", step, pos, e.ready, tab.low)
 		}
 		if tab.index[e.slot].pos != uint32(pos) {
-			t.Fatalf("step %d: heap entry %d and its index slot disagree", step, pos)
+			t.Fatalf("step %d: slab entry %d and its index slot disagree", step, pos)
 		}
 	}
+}
+
+// TestMSHRWatermarkStaleCases: the watermark low may sit below every entry
+// once the entry that held the minimum is gone. (a) After a lookup drops
+// that entry, the next sweep must still drop every completed entry and
+// recompute low from the survivors. (b) Re-inserting a resident block with
+// an earlier ready time must lower low, or the sweep would skip it. (c) A
+// table at its bound whose entries are all in flight (now < low) does no
+// scan, so a stale low stays as it was.
+func TestMSHRWatermarkStaleCases(t *testing.T) {
+	t.Run("lookup drops the minimum", func(t *testing.T) {
+		tab := newMSHRTable(4)
+		for b, ready := range []uint64{10, 20, 30, 40, 50} {
+			tab.insert(uint64(b)<<6, 0, ready)
+		}
+		if _, ok := tab.lookup(0, 15); ok {
+			t.Fatal("lookup at 15 kept the entry ready at 10")
+		}
+		if tab.low != 10 {
+			t.Fatalf("low = %d after the lookup, want the stale 10", tab.low)
+		}
+		tab.insert(9<<6, 35, 100)
+		for b, want := range []bool{false, false, false, true, true} {
+			if _, ok := tab.peek(uint64(b) << 6); ok != want {
+				t.Errorf("block %d resident = %v after the sweep at 35, want %v", b, ok, want)
+			}
+		}
+		if tab.low != 40 {
+			t.Errorf("low = %d after the sweep, want 40", tab.low)
+		}
+	})
+	t.Run("resident block gets an earlier ready time", func(t *testing.T) {
+		tab := newMSHRTable(4)
+		for b, ready := range []uint64{100, 200, 300, 400} {
+			tab.insert(uint64(b)<<6, 0, ready)
+		}
+		tab.insert(3<<6, 0, 50)
+		if tab.low != 50 {
+			t.Fatalf("low = %d after re-inserting a block ready at 50, want 50", tab.low)
+		}
+		tab.insert(9<<6, 60, 700)
+		if _, ok := tab.peek(3 << 6); ok {
+			t.Error("re-inserted block ready at 50 survived the sweep at 60")
+		}
+		if _, ok := tab.peek(0); !ok {
+			t.Error("block ready at 100 was swept at 60")
+		}
+	})
+	t.Run("all in flight at the bound", func(t *testing.T) {
+		tab := newMSHRTable(4)
+		for b, ready := range []uint64{100, 200, 300, 400} {
+			tab.insert(uint64(b)<<6, 0, ready)
+		}
+		tab.lookup(0, 150) // drops the entry ready at 100; low stays 100
+		tab.insert(4<<6, 50, 250)
+		tab.insert(5<<6, 60, 500) // at the bound, but 60 < low
+		if tab.low != 100 {
+			t.Errorf("low = %d, want the stale 100: the insert at 60 scanned", tab.low)
+		}
+		if len(tab.slab) != 5 {
+			t.Errorf("%d entries, want 5", len(tab.slab))
+		}
+	})
 }
 
 // TestMSHRTableMatchesMapReference drives mshrTable and the map-based
