@@ -155,8 +155,8 @@ internal/policy/traced.go:* rlrsim -obs-trace: victim decisions on the event str
 internal/profiling/profiling.go:AttachPprof the -obs-addr endpoint's /debug/pprof
 internal/refmodel/diff.go:* cmd/check counterexample path, reached only on a divergence
 internal/refmodel/refmodel.go:*.Name reference-model label in divergence reports
-internal/rl/agent.go:Agent.trainStepScalar training step where AVX2 is absent
-internal/rl/agent.go:maxOf scalar training step where AVX2 is absent
+internal/rl/agent.go:Agent.trainStepScalar reference training step for TestBatchedTrainByteIdentical, selected by the scalarTrain test hook
+internal/rl/agent.go:maxOf bootstrap target when AgentConfig.Gamma > 0 (the default is 0; only tests set it)
 internal/rl/replay.go:Replay.saveState checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/rl/state.go:Agent.saveState checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/rl/trainer.go:Trainer.SaveState checkpoint write (see cmd/rltrain saveCheckpoint)
