@@ -247,38 +247,55 @@ func TestDirtyTracking(t *testing.T) {
 	}
 }
 
-func TestEvictObserver(t *testing.T) {
-	c := New(Config{Sets: 1, Ways: 1, LineSize: 64})
-	var evicted []Line
-	c.SetEvictObserver(func(setIdx uint32, way int, victim Line) {
-		evicted = append(evicted, victim)
-	})
-	c.RecordMissTouch(0)
-	c.Fill(0, 0, ld(0x0)) // fills empty way: no eviction
-	c.RecordMissTouch(0)
-	c.Fill(0, 0, ld(0x40)) // evicts block 0
-	if len(evicted) != 1 {
-		t.Fatalf("observer fired %d times, want 1", len(evicted))
+// TestVictimReadInPlace pins the rule callers of Fill rely on: the victim
+// read in place before the fill has the ages and recency that a copy of it
+// reads against the set after the fill.
+func TestVictimReadInPlace(t *testing.T) {
+	c := New(Config{Sets: 1, Ways: 4, LineSize: 64})
+	s := c.Set(0)
+	for i := uint64(0); i < 4; i++ {
+		c.RecordMissTouch(0)
+		c.Fill(0, c.InvalidWay(0), ld(i*64))
 	}
-	if evicted[0].Block != 0 {
-		t.Errorf("evicted block = %#x, want 0", evicted[0].Block)
+	c.RecordHit(0, 1, ld(64))
+	c.RecordHit(0, 0, ld(0))
+	c.RecordMissTouch(0)
+	const way = 2
+	victim := &s.Lines[way]
+	if !victim.Valid || victim.Block != 2 {
+		t.Fatalf("victim in place = %+v, want valid block 2", *victim)
+	}
+	ins, acc, rec := s.AgeSinceInsert(victim), s.AgeSinceAccess(victim), s.Recency(victim)
+	saved := *victim
+	c.Fill(0, way, ld(0x1000))
+	if got := s.AgeSinceInsert(&saved); got != ins {
+		t.Errorf("age since insert after fill = %d, before %d", got, ins)
+	}
+	if got := s.AgeSinceAccess(&saved); got != acc {
+		t.Errorf("age since access after fill = %d, before %d", got, acc)
+	}
+	if got := s.Recency(&saved); got != rec {
+		t.Errorf("recency after fill = %d, before %d", got, rec)
 	}
 }
 
-func TestFillReturnsVictim(t *testing.T) {
+func TestFillVictimInPlace(t *testing.T) {
 	c := New(Config{Sets: 1, Ways: 1, LineSize: 64})
 	c.RecordMissTouch(0)
-	v := c.Fill(0, 0, ld(0x0))
-	if v.Valid {
-		t.Error("victim of empty-way fill is valid")
+	if v := &c.Set(0).Lines[0]; v.Valid {
+		t.Error("empty way holds a valid line")
 	}
+	c.Fill(0, 0, ld(0x0))
 	c.RecordMissTouch(0)
 	wb := trace.Access{Addr: 0x0, Type: trace.Writeback}
 	c.RecordHit(0, 0, wb) // dirty it
 	c.RecordMissTouch(0)
-	v = c.Fill(0, 0, ld(0x40))
-	if !v.Valid || !v.Dirty || v.Block != 0 {
-		t.Errorf("victim = %+v, want valid dirty block 0", v)
+	if v := &c.Set(0).Lines[0]; !v.Valid || !v.Dirty || v.Block != 0 {
+		t.Errorf("victim = %+v, want valid dirty block 0", *v)
+	}
+	c.Fill(0, 0, ld(0x40))
+	if ln := &c.Set(0).Lines[0]; ln.Block != 1 || ln.Dirty {
+		t.Errorf("filled line = %+v, want clean block 1", *ln)
 	}
 }
 
@@ -288,15 +305,17 @@ func TestInvalidate(t *testing.T) {
 	set, _, _ := c.Probe(a.Addr)
 	c.RecordMissTouch(set)
 	c.Fill(set, 0, a)
-	ln := c.Invalidate(0x1000)
-	if !ln.Valid {
-		t.Error("Invalidate of resident block returned invalid line")
+	if !c.Invalidate(0x1000) {
+		t.Error("Invalidate of resident block reported it absent")
 	}
 	if _, _, hit := c.Probe(0x1000); hit {
 		t.Error("block still resident after Invalidate")
 	}
-	if ln2 := c.Invalidate(0x9999000); ln2.Valid {
-		t.Error("Invalidate of absent block returned a valid line")
+	if c.Invalidate(0x1000) {
+		t.Error("second Invalidate of the same block reported it resident")
+	}
+	if c.Invalidate(0x9999000) {
+		t.Error("Invalidate of absent block reported it resident")
 	}
 }
 

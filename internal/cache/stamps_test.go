@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"testing"
 	"unsafe"
 
@@ -111,6 +112,20 @@ func compareEager(t *testing.T, step int, s *Set, e *eagerSet) {
 	if got := s.LRUWay(); got != lru {
 		t.Fatalf("step %d: LRUWay %d, eager %d", step, got, lru)
 	}
+	if n := validLines(s); s.valid != n {
+		t.Fatalf("step %d: valid-line count %d, %d lines valid", step, s.valid, n)
+	}
+}
+
+// validLines counts the valid lines of s by a scan.
+func validLines(s *Set) int {
+	n := 0
+	for w := range s.Lines {
+		if s.Lines[w].Valid {
+			n++
+		}
+	}
+	return n
 }
 
 // nearSaturation is how far below 2^32 a set's ages start in the
@@ -121,9 +136,11 @@ const nearSaturation = 6
 // and to the eager reference, comparing them after every step, and checks
 // that each step wrote no line but the one it accessed. Each operation is
 // two bytes, a kind and an argument; blocks come from a pool twice the
-// associativity, so hits, conflict misses and holes all occur. With
-// saturating set, the first fills are followed by a jump of the set's
-// access count to just below 2^32 accesses later, so the ages saturate.
+// associativity, so hits, conflict misses and holes all occur. One kind is
+// a SaveState/LoadState round trip, after which the run goes on with the
+// loaded cache. With saturating set, the first fills are followed by a
+// jump of the set's access count to just below 2^32 accesses later, so the
+// ages saturate.
 func runStampsVsEager(t *testing.T, ways int, saturating bool, ops []byte) {
 	t.Helper()
 	c := New(Config{Sets: 1, Ways: ways, LineSize: 64})
@@ -134,8 +151,9 @@ func runStampsVsEager(t *testing.T, ways int, saturating bool, ops []byte) {
 	addr := func(arg byte) uint64 { return uint64(arg) % pool * 64 }
 	touched := -1 // the way the current step may write
 	// fill installs a into a way the way a miss does: the lowest invalid
-	// way, else the argument's way, checking the victim copy's derived
-	// values against the eager line it replaced.
+	// way, else the argument's way. It checks the victim's derived values
+	// against the eager line it replaces twice: read in place before the
+	// fill, and from a copy read against the set after it.
 	fill := func(step int, a trace.Access, arg byte) {
 		way := c.InvalidWay(0)
 		if want := e.invalidWay(); way != want {
@@ -146,16 +164,21 @@ func runStampsVsEager(t *testing.T, ways int, saturating bool, ops []byte) {
 		}
 		touched = way
 		wasValid, ins, acc, rec := e.valid[way], e.ageIns[way], e.ageAcc[way], e.recency[way]
-		victim := c.Fill(0, way, a)
-		e.fill(way)
+		checkVictim := func(when string, v *Line) {
+			if wasValid && (s.AgeSinceInsert(v) != ins || s.AgeSinceAccess(v) != acc || s.Recency(v) != int(rec)) {
+				t.Fatalf("step %d: victim %s ages %d/%d recency %d, eager %d/%d/%d", step, when,
+					s.AgeSinceInsert(v), s.AgeSinceAccess(v), s.Recency(v), ins, acc, rec)
+			}
+		}
+		victim := &s.Lines[way]
 		if victim.Valid != wasValid {
 			t.Fatalf("step %d: victim valid %v, eager %v", step, victim.Valid, wasValid)
 		}
-		if wasValid && (s.AgeSinceInsert(&victim) != ins || s.AgeSinceAccess(&victim) != acc ||
-			s.Recency(&victim) != int(rec)) {
-			t.Fatalf("step %d: victim ages %d/%d recency %d, eager %d/%d/%d", step,
-				s.AgeSinceInsert(&victim), s.AgeSinceAccess(&victim), s.Recency(&victim), ins, acc, rec)
-		}
+		checkVictim("in place", victim)
+		saved := *victim
+		c.Fill(0, way, a)
+		e.fill(way)
+		checkVictim("copy after the fill", &saved)
 	}
 	before := make([]Line, ways)
 	for i := 0; i+1 < len(ops); i += 2 {
@@ -167,7 +190,7 @@ func runStampsVsEager(t *testing.T, ways int, saturating bool, ops []byte) {
 			s.Accesses += jump
 			e.advance(jump)
 		}
-		switch kind % 5 {
+		switch kind % 6 {
 		case 0, 1: // an access: hit, or miss then fill
 			a := ld(addr(arg))
 			if _, way, hit := c.Probe(a.Addr); hit {
@@ -202,11 +225,21 @@ func runStampsVsEager(t *testing.T, ways int, saturating bool, ops []byte) {
 				c.Invalidate(addr(arg))
 				e.valid[way] = false
 			}
+		case 5: // a checkpoint round trip into a fresh cache
+			var buf bytes.Buffer
+			if err := c.SaveState(&buf); err != nil {
+				t.Fatalf("step %d: SaveState: %v", step, err)
+			}
+			c = New(c.Config())
+			if err := c.LoadState(&buf); err != nil {
+				t.Fatalf("step %d: LoadState: %v", step, err)
+			}
+			s = c.Set(0)
 		}
 		for w := range s.Lines {
 			if w != touched && s.Lines[w] != before[w] {
 				t.Fatalf("step %d (kind %d) wrote way %d, not the accessed way %d:\nbefore %+v\nafter  %+v",
-					step, kind%5, w, touched, before[w], s.Lines[w])
+					step, kind%6, w, touched, before[w], s.Lines[w])
 			}
 		}
 		compareEager(t, step, s, e)
@@ -253,6 +286,66 @@ func TestStampsSaturate(t *testing.T) {
 	}
 	if got := c.RecordHit(0, 0, ld(0)); got != counterMax-1 {
 		t.Fatalf("preuse of a saturated line = %d, want %d", got, counterMax-1)
+	}
+}
+
+// TestLoadStateRecountsValidLines pins the valid-line count across a
+// checkpoint: a partly filled set with one invalidated way, loaded into a
+// fresh cache and into a full one, must report the same invalid way as the
+// original and take the next fills into the same ways.
+func TestLoadStateRecountsValidLines(t *testing.T) {
+	cfg := Config{Sets: 1, Ways: 4, LineSize: 64}
+	fillNext := func(c *Cache, addr uint64) int {
+		c.RecordMissTouch(0)
+		way := c.InvalidWay(0)
+		if way >= 0 {
+			c.Fill(0, way, ld(addr))
+		}
+		return way
+	}
+	orig := New(cfg)
+	for i := uint64(0); i < 3; i++ {
+		fillNext(orig, i*64)
+	}
+	if !orig.Invalidate(64) {
+		t.Fatal("block 1 not resident")
+	}
+	var state bytes.Buffer
+	if err := orig.SaveState(&state); err != nil {
+		t.Fatal(err)
+	}
+	full := New(cfg)
+	for i := uint64(0); i < 4; i++ {
+		fillNext(full, 0x10000+i*64)
+	}
+	for name, c := range map[string]*Cache{"fresh": New(cfg), "full": full} {
+		if err := c.LoadState(bytes.NewReader(state.Bytes())); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := c.Set(0).valid, orig.Set(0).valid; got != want {
+			t.Fatalf("%s: valid-line count %d, original %d", name, got, want)
+		}
+		if got, want := c.InvalidWay(0), orig.InvalidWay(0); got != want || got != 1 {
+			t.Fatalf("%s: InvalidWay %d, original %d, want 1", name, got, want)
+		}
+	}
+	loaded := New(cfg)
+	if err := loaded.LoadState(bytes.NewReader(state.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(8); i < 11; i++ {
+		got, want := fillNext(loaded, i*64), fillNext(orig, i*64)
+		if got != want {
+			t.Fatalf("fill of block %d: way %d, original %d", i, got, want)
+		}
+		for w := range orig.Set(0).Lines {
+			if loaded.Set(0).Lines[w] != orig.Set(0).Lines[w] {
+				t.Fatalf("after fill of block %d, way %d differs", i, w)
+			}
+		}
+	}
+	if got := orig.InvalidWay(0); got != -1 {
+		t.Fatalf("InvalidWay of the refilled set = %d, want -1", got)
 	}
 }
 

@@ -261,10 +261,11 @@ func (sh *shard) put(key string, block, pc uint64, val []byte, sp *obs.ActiveSpa
 			return putBypassed
 		}
 	}
-	victim := sh.tags.Fill(setIdx, way, ctx.Access)
-	if victim.Valid {
-		if ve := sh.entries[victim.Block]; ve != nil {
-			sh.evictEntry(victim.Block, ve)
+	evicted, vblock := set.Lines[way].Valid, set.Lines[way].Block
+	sh.tags.Fill(setIdx, way, ctx.Access)
+	if evicted {
+		if ve := sh.entries[vblock]; ve != nil {
+			sh.evictEntry(vblock, ve)
 			sh.stats.Evictions++
 		}
 	}

@@ -323,15 +323,17 @@ func (h *Hierarchy) fillLevel(core int, l *level, addr, pc uint64, ty trace.Acce
 	if way < 0 {
 		way = l.c.Set(setIdx).LRUWay()
 	}
-	victim := l.c.Fill(setIdx, way, a)
-	if victim.Valid && victim.Dirty {
-		h.writeback(core, l, victim)
+	victim := &l.c.Set(setIdx).Lines[way]
+	dirty, block := victim.Valid && victim.Dirty, victim.Block
+	l.c.Fill(setIdx, way, a)
+	if dirty {
+		h.writeback(core, l, block)
 	}
 }
 
-// writeback sends a dirty victim from level l to the next level down.
-func (h *Hierarchy) writeback(core int, from *level, victim cache.Line) {
-	addr := victim.Block << 6
+// writeback sends a dirty victim block from level l to the next level down.
+func (h *Hierarchy) writeback(core int, from *level, block uint64) {
+	addr := block << 6
 	switch from {
 	case h.l1d[core]:
 		// L1D victim → L2: hit marks dirty, miss allocates (data is a full
