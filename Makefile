@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench-smoke bench bench-hotpath-smoke bench-intervals bench-server batch-smoke crash-smoke obs-smoke intervals-smoke server-smoke check reach ci
+.PHONY: build test vet race bench-smoke bench bench-intervals bench-server batch-smoke crash-smoke obs-smoke intervals-smoke server-smoke check reach ci
 
 build:
 	$(GO) build ./...
@@ -27,20 +27,19 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# One iteration of every root benchmark (each digested table plus the
+# simulator hot path) and of the agent network's hot-path benchmarks.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/nn
 
-# Runs the per-access hot-path microbenchmarks and regenerates
-# BENCH_hotpath.json (oracle query, simulator step, MLP forward/backward,
-# chain-driven Belady replay).
+# Runs the hot-path benchmarks five times (oracle query, simulator step,
+# chain-driven Belady replay, MLP forward/backward/training step) and
+# regenerates BENCH_hotpath.json from the medians. The transcript goes to
+# a file first, so a failing go test fails the target.
 bench:
-	$(GO) test -bench=Hotpath -benchmem -run='^$$' .
-	$(GO) run ./cmd/benchjson -hotpath -o BENCH_hotpath.json
-
-# CI smoke for the hot path: small trace, short budgets, stdout only (the
-# committed BENCH_hotpath.json is regenerated by `make bench`, not by ci).
-bench-hotpath-smoke:
-	$(GO) run ./cmd/benchjson -hotpath -quick -o - > /dev/null
+	mkdir -p tmp_bench
+	$(GO) test -run='^$$' -bench=Hotpath -benchmem -count=5 . ./internal/nn > tmp_bench/hotpath.txt
+	$(GO) run ./cmd/benchjson -hotpath -o BENCH_hotpath.json < tmp_bench/hotpath.txt
 
 # Regression gate for the NN kernels: ForwardBatch at B=8 must be at
 # least 2x faster per sample than the scalar reference, and the
@@ -49,7 +48,7 @@ bench-hotpath-smoke:
 # 8.2-12.8x at B=8 and 5.6-9.2x at B=1 in four runs on a 2-vCPU Xeon.
 # The floors catch a silent scalar fallback.
 batch-smoke:
-	$(GO) test -run TestHotpathBatchSpeedupSmoke -count=1 .
+	$(GO) test -run TestHotpathBatchSpeedupSmoke -count=1 ./internal/nn
 
 # Regenerates BENCH_intervals.json: full-trace vs representative-interval
 # simulation over the policy zoo on multi-million-access chunked traces
@@ -109,4 +108,4 @@ check:
 reach:
 	sh scripts/reach.sh
 
-ci: vet race bench-smoke bench-hotpath-smoke batch-smoke crash-smoke obs-smoke intervals-smoke server-smoke check
+ci: vet race bench-smoke batch-smoke crash-smoke obs-smoke intervals-smoke server-smoke check

@@ -1,25 +1,26 @@
 package main
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
-	"math"
+	"io"
 	"os"
-	"testing"
-	"time"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
 
-	"repro/internal/cache"
-	"repro/internal/cachesim"
-	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/policy"
-	"repro/internal/trace"
-	"repro/internal/xrand"
 )
 
-// The -hotpath mode measures the per-access inner loops (oracle query,
-// simulator step, NN forward/backward) and the end-to-end chain-driven
-// Belady replay, writing BENCH_hotpath.json.
+// The -hotpath mode converts the output of
+//
+//	go test -run '^$' -bench Hotpath -benchmem -count 5 . ./internal/nn
+//
+// read on stdin into BENCH_hotpath.json: the per-access inner loops
+// (oracle query, simulator step, NN forward/backward) and the end-to-end
+// chain-driven Belady replay. Every figure is the median of its runs, and
+// the speedup ratios are ratios of medians.
 
 type hotpathMicro struct {
 	Name        string  `json:"name"`
@@ -29,244 +30,121 @@ type hotpathMicro struct {
 
 type hotpathReport struct {
 	Meta             obs.BuildInfo `json:"meta"` // machine/toolchain attribution
+	Runs             int           `json:"runs"` // fewest runs behind any median
 	TraceLen         int           `json:"trace_len"`
-	Sets             int           `json:"sets"`
-	Ways             int           `json:"ways"`
-	Quick            bool          `json:"quick"`
 	ChainMS          float64       `json:"chain_replay_ms"` // chain-driven belady, per replay
 	ChainNsPerAccess float64       `json:"chain_ns_per_access"`
-	// Batched/quantized NN path, per-sample vs the scalar reference
-	// forward (mlp_forward_ref). The ISSUE-6 acceptance bar is
-	// batch_speedup_32 >= 5.
+	// Batched/quantized NN path: per-sample speedups over the scalar
+	// reference forward (mlp_forward_ref).
 	BatchSpeedup8  float64        `json:"batch_speedup_8"`
 	BatchSpeedup32 float64        `json:"batch_speedup_32"`
 	QuantSpeedup   float64        `json:"quant_speedup"`
 	Micro          []hotpathMicro `json:"micro"`
 }
 
-// hotpathTrace mirrors the synthetic mix of bench_hotpath_test.go: hot
-// lines that fit in cache (hot blocks), a warm working set ~2× capacity
-// (warm blocks), and a cold stream that keeps every set full and
-// evicting.
-func hotpathTrace(n int, hot, warm uint64) []trace.Access {
-	rng := xrand.New(42)
-	accesses := make([]trace.Access, n)
-	for i := range accesses {
-		var b uint64
-		switch rng.Intn(4) {
-		case 0:
-			b = rng.Uint64n(hot)
-		case 1:
-			b = 1<<16 + rng.Uint64n(warm)
-		default:
-			b = 1<<24 + uint64(i)
-		}
-		accesses[i] = trace.Access{PC: rng.Uint64n(64), Addr: b * 64, Type: trace.AccessType(rng.Intn(4))}
-	}
-	return accesses
+// hotpathRows lists the micro rows in file order, each with its benchmark
+// and the unit its ns_per_op is read from: the batched rows report time
+// per sample, not per call.
+var hotpathRows = []struct{ name, bench, unit string }{
+	{"oracle_nextuse_chain", "HotpathOracleNextUseChain", "ns/op"},
+	{"simulator_step", "HotpathSimulatorStep", "ns/op"},
+	{"mlp_forward", "HotpathMLPForward", "ns/op"},
+	{"mlp_backward", "HotpathMLPBackward", "ns/op"},
+	{"mlp_forward_ref", "HotpathMLPForwardRef", "ns/op"},
+	{"mlp_forward_batch1", "HotpathMLPForwardBatch1", "ns/sample"},
+	{"mlp_forward_batch8", "HotpathMLPForwardBatch8", "ns/sample"},
+	{"mlp_forward_batch32", "HotpathMLPForwardBatch32", "ns/sample"},
+	{"mlp_backward_batch8", "HotpathMLPBackwardBatch8", "ns/sample"},
+	{"mlp_train_step_batch32", "HotpathMLPTrainStepBatch32", "ns/op"},
+	{"mlp_quant_forward", "HotpathMLPQuantForward", "ns/op"},
 }
 
-// timeOp measures ns/op of f by doubling the iteration count until one
-// timed pass exceeds budget.
-func timeOp(budget time.Duration, f func()) float64 {
-	f() // warm-up
-	for n := 1; ; n *= 2 {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			f()
+// benchLine matches one result line of a `go test -bench` transcript: the
+// name (less its Benchmark prefix and -GOMAXPROCS suffix), the iteration
+// count, then value/unit pairs.
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+(.+)$`)
+
+// parseBench collects every value of a transcript by benchmark and unit.
+// Header, log and PASS/ok lines are skipped, so the output of several
+// packages can be concatenated.
+func parseBench(r io.Reader) (map[string]map[string][]float64, error) {
+	runs := map[string]map[string][]float64{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
 		}
-		if el := time.Since(start); el >= budget {
-			return float64(el.Nanoseconds()) / float64(n)
+		if runs[m[1]] == nil {
+			runs[m[1]] = map[string][]float64{}
 		}
-	}
-}
-
-func runHotpath(quick bool, outPath string) error {
-	traceLen := 200_000
-	opBudget := 300 * time.Millisecond
-	replayReps := 5
-	cfg := cache.Config{Sets: 1024, Ways: 16, LineSize: 64}
-	hot, warm := uint64(4096), uint64(32768)
-	if quick {
-		// Scale the cache and working sets together so the replay still
-		// spends its time in victim scans, not warm-up fills.
-		traceLen = 30_000
-		opBudget = 20 * time.Millisecond
-		replayReps = 2
-		cfg.Sets = 128
-		hot, warm = 512, 4096
-	}
-	accesses := hotpathTrace(traceLen, hot, warm)
-	oracle := policy.NewOracle(accesses, cfg.LineSize)
-
-	rep := hotpathReport{Meta: obs.CollectBuildInfo(), TraceLen: traceLen, Sets: cfg.Sets, Ways: cfg.Ways, Quick: quick}
-
-	// End-to-end Belady replay over the shared oracle's read-only chain;
-	// best-of-reps suppresses scheduler noise.
-	best := time.Duration(1<<62 - 1)
-	for r := 0; r < replayReps; r++ {
-		start := time.Now()
-		cachesim.RunPolicy(cfg, policy.NewBelady(oracle), accesses)
-		if el := time.Since(start); el < best {
-			best = el
-		}
-	}
-	rep.ChainMS = float64(best.Nanoseconds()) / 1e6
-	rep.ChainNsPerAccess = float64(best.Nanoseconds()) / float64(traceLen)
-
-	// In-order oracle cursor queries, on a private oracle (the cursor is
-	// stateful).
-	chainOracle := policy.NewOracle(accesses, cfg.LineSize)
-	seq := 0
-	rep.Micro = append(rep.Micro, hotpathMicro{
-		Name: "oracle_nextuse_chain",
-		NsPerOp: timeOp(opBudget, func() {
-			if seq == 0 {
-				chainOracle.ResetReplay()
+		f := strings.Fields(m[2])
+		for i := 0; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("Benchmark%s: value %q: %v", m[1], f[i], err)
 			}
-			chainOracle.NextUse(accesses[seq].Addr, uint64(seq))
-			seq = (seq + 1) % traceLen
-		}),
-	})
-
-	// Simulator step under LRU: ns/op and allocs/op.
-	sim := cachesim.New(cfg, 1, policy.MustNew("lru"))
-	i := 0
-	stepNS := timeOp(opBudget, func() {
-		sim.Step(accesses[i%traceLen])
-		i++
-	})
-	stepAllocs := testing.AllocsPerRun(1000, func() {
-		sim.Step(accesses[i%traceLen])
-		i++
-	})
-	rep.Micro = append(rep.Micro, hotpathMicro{Name: "simulator_step", NsPerOp: stepNS, AllocsPerOp: stepAllocs})
-
-	// The paper's 334-175-16 network.
-	m := nn.NewMLP(334, 1, nn.LayerSpec{Units: 175, Act: nn.Tanh}, nn.LayerSpec{Units: 16, Act: nn.Linear})
-	x := make([]float64, 334)
-	for j := range x {
-		x[j] = float64(j%13) / 13
-	}
-	fwdNS := timeOp(opBudget, func() { m.Forward(x) })
-	fwdAllocs := testing.AllocsPerRun(200, func() { m.Forward(x) })
-	rep.Micro = append(rep.Micro, hotpathMicro{Name: "mlp_forward", NsPerOp: fwdNS, AllocsPerOp: fwdAllocs})
-
-	target := make([]float64, 16)
-	for j := range target {
-		target[j] = math.NaN()
-	}
-	target[5] = 0.25
-	m.Forward(x)
-	bwdNS := timeOp(opBudget, func() { m.Backward(target) })
-	bwdAllocs := testing.AllocsPerRun(200, func() { m.Backward(target) })
-	rep.Micro = append(rep.Micro, hotpathMicro{Name: "mlp_backward", NsPerOp: bwdNS, AllocsPerOp: bwdAllocs})
-
-	// Scalar reference forward: the pre-batching baseline every batched and
-	// quantized per-sample number is compared against.
-	refNS := timeOp(opBudget, func() { m.ForwardRef(x) })
-	refAllocs := testing.AllocsPerRun(200, func() { m.ForwardRef(x) })
-	rep.Micro = append(rep.Micro, hotpathMicro{Name: "mlp_forward_ref", NsPerOp: refNS, AllocsPerOp: refAllocs})
-
-	// Batched forward sweep; ns_per_op is PER SAMPLE (one ForwardBatch call
-	// evaluates bs inputs).
-	batchNS := map[int]float64{}
-	for _, bs := range []int{1, 8, 32} {
-		xs := make([]float64, bs*334)
-		for j := range xs {
-			xs[j] = float64(j%13) / 13
+			runs[m[1]][f[i+1]] = append(runs[m[1]][f[i+1]], v)
 		}
-		m.EnsureBatch(bs)
-		m.ForwardBatch(xs, bs) // warm scratch before the alloc count
-		ns := timeOp(opBudget, func() { m.ForwardBatch(xs, bs) }) / float64(bs)
-		allocs := testing.AllocsPerRun(200, func() { m.ForwardBatch(xs, bs) })
-		batchNS[bs] = ns
+	}
+	return runs, sc.Err()
+}
+
+// median returns the middle value of vs (the mean of the middle two for
+// an even count). It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	return (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+}
+
+// convertHotpath builds the report (all but Meta) from a transcript. A
+// benchmark or unit the report needs and the transcript lacks is an error
+// that names it.
+func convertHotpath(r io.Reader) (hotpathReport, error) {
+	runs, err := parseBench(r)
+	if err != nil {
+		return hotpathReport{}, err
+	}
+	var rep hotpathReport
+	med := func(bench, unit string) float64 {
+		vs := runs[bench][unit]
+		if len(vs) == 0 {
+			if err == nil {
+				err = fmt.Errorf("no %s from Benchmark%s in the input", unit, bench)
+			}
+			return 0
+		}
+		if rep.Runs == 0 || len(vs) < rep.Runs {
+			rep.Runs = len(vs)
+		}
+		return median(vs)
+	}
+
+	rep.TraceLen = int(med("HotpathBeladyReplayChain", "accesses/replay"))
+	chainNS := med("HotpathBeladyReplayChain", "ns/op")
+	ns := map[string]float64{}
+	for _, row := range hotpathRows {
+		ns[row.name] = med(row.bench, row.unit)
 		rep.Micro = append(rep.Micro, hotpathMicro{
-			Name: fmt.Sprintf("mlp_forward_batch%d", bs), NsPerOp: ns, AllocsPerOp: allocs,
+			Name: row.name, NsPerOp: ns[row.name], AllocsPerOp: med(row.bench, "allocs/op"),
 		})
 	}
-	if batchNS[8] > 0 {
-		rep.BatchSpeedup8 = refNS / batchNS[8]
-	}
-	if batchNS[32] > 0 {
-		rep.BatchSpeedup32 = refNS / batchNS[32]
-	}
-
-	// Batched masked backward at the training minibatch shape.
-	{
-		const bs = 8
-		xs := make([]float64, bs*334)
-		for j := range xs {
-			xs[j] = float64(j%13) / 13
-		}
-		targets := make([]float64, bs*16)
-		for j := range targets {
-			targets[j] = math.NaN()
-		}
-		for r := 0; r < bs; r++ {
-			targets[r*16+(r%16)] = 0.25
-		}
-		m.EnsureBatch(bs)
-		m.ForwardBatch(xs, bs)
-		ns := timeOp(opBudget, func() { m.BackwardBatch(targets, bs) }) / float64(bs)
-		allocs := testing.AllocsPerRun(200, func() { m.BackwardBatch(targets, bs) })
-		rep.Micro = append(rep.Micro, hotpathMicro{Name: "mlp_backward_batch8", NsPerOp: ns, AllocsPerOp: allocs})
-	}
-
-	// One whole agent training step at its default minibatch of 32:
-	// forward, masked backward and Adam update; ns_per_op is per step.
-	{
-		const bs = 32
-		xs := make([]float64, bs*334)
-		for j := range xs {
-			xs[j] = float64(j%13) / 13
-		}
-		targets := make([]float64, bs*16)
-		for j := range targets {
-			targets[j] = math.NaN()
-		}
-		for r := 0; r < bs; r++ {
-			targets[r*16+(r%16)] = 0.25
-		}
-		tm := nn.NewMLP(334, 1, nn.LayerSpec{Units: 175, Act: nn.Tanh}, nn.LayerSpec{Units: 16, Act: nn.Linear})
-		tm.EnsureBatch(bs)
-		step := func() {
-			tm.ForwardBatch(xs, bs)
-			tm.BackwardBatch(targets, bs)
-			tm.AdamStep(1e-3, bs)
-		}
-		ns := timeOp(opBudget, step)
-		allocs := testing.AllocsPerRun(200, step)
-		rep.Micro = append(rep.Micro, hotpathMicro{Name: "mlp_train_step_batch32", NsPerOp: ns, AllocsPerOp: allocs})
-	}
-
-	// Frozen int8 inference (evaluation-only path).
-	q := nn.Quantize(m)
-	quantNS := timeOp(opBudget, func() { q.Forward(x) })
-	quantAllocs := testing.AllocsPerRun(200, func() { q.Forward(x) })
-	rep.Micro = append(rep.Micro, hotpathMicro{Name: "mlp_quant_forward", NsPerOp: quantNS, AllocsPerOp: quantAllocs})
-	if quantNS > 0 {
-		rep.QuantSpeedup = refNS / quantNS
-	}
-
-	fmt.Fprintf(os.Stderr, "belady replay: chain %.1fms over %d accesses\n", rep.ChainMS, traceLen)
-	fmt.Fprintf(os.Stderr, "mlp forward: batch8 %.2fx, batch32 %.2fx, int8 %.2fx per sample vs scalar ref\n",
-		rep.BatchSpeedup8, rep.BatchSpeedup32, rep.QuantSpeedup)
-	for _, mi := range rep.Micro {
-		fmt.Fprintf(os.Stderr, "%-22s %10.1f ns/op  %6.1f allocs/op\n", mi.Name, mi.NsPerOp, mi.AllocsPerOp)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		return err
+		return hotpathReport{}, err
 	}
-	data = append(data, '\n')
-	if outPath == "-" {
-		os.Stdout.Write(data)
-		return nil
+	rep.ChainMS = chainNS / 1e6
+	rep.ChainNsPerAccess = chainNS / float64(rep.TraceLen)
+	rep.BatchSpeedup8 = ns["mlp_forward_ref"] / ns["mlp_forward_batch8"]
+	rep.BatchSpeedup32 = ns["mlp_forward_ref"] / ns["mlp_forward_batch32"]
+	rep.QuantSpeedup = ns["mlp_forward_ref"] / ns["mlp_quant_forward"]
+	return rep, nil
+}
+
+func runHotpath(outPath string) error {
+	rep, err := convertHotpath(os.Stdin)
+	if err != nil {
+		return fmt.Errorf("benchjson -hotpath: %w", err)
 	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
+	rep.Meta = obs.CollectBuildInfo()
+	return writeJSON(outPath, rep)
 }

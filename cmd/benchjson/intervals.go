@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -130,20 +129,8 @@ func runIntervals(quick bool, jobs int, path string) error {
 			name, w.FullMS, w.IntervalsMS, w.CoveragePct, w.Speedup, w.KendallTau, w.MaxAbsErrorPct)
 	}
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		os.Stdout.Write(data)
-		return nil
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (max speedup %.2fx, min τ %.3f)\n", path, rep.MaxSpeedup, rep.MinTau)
-	return nil
+	fmt.Fprintf(os.Stderr, "max speedup %.2fx, min τ %.3f\n", rep.MaxSpeedup, rep.MinTau)
+	return writeJSON(path, rep)
 }
 
 func intervalsOneWorkload(name string, n, window, k int, warmup uint64, zoo []string, ccfg cache.Config, dir string) (intervalsWorkload, error) {

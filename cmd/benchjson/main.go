@@ -4,17 +4,17 @@
 //
 // Usage:
 //
-//	benchjson -hotpath                # per-access hot path -> BENCH_hotpath.json
-//	benchjson -hotpath -quick -o -    # CI smoke: small trace, stdout
+//	benchjson -hotpath < bench.txt    # go test -bench Hotpath output -> BENCH_hotpath.json
 //	benchjson -intervals              # representative intervals -> BENCH_intervals.json
 //	benchjson -intervals -quick -o -  # CI smoke: one small workload, stdout
 //
-// -hotpath measures the per-access inner loops and the chain-driven Belady
-// replay (see hotpath.go); -intervals measures representative-interval
-// selection against full-trace simulation (see intervals.go).
+// -hotpath converts the hot-path benchmarks' output into medians (see
+// hotpath.go); -intervals measures representative-interval selection
+// against full-trace simulation (see intervals.go).
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,9 +24,9 @@ func main() {
 	var (
 		out     = flag.String("o", "", "output file ('-' for stdout; default BENCH_hotpath.json or BENCH_intervals.json)")
 		jobs    = flag.Int("jobs", 0, "with -intervals: worker count (0 = NumCPU)")
-		hotpath = flag.Bool("hotpath", false, "measure the per-access hot path")
+		hotpath = flag.Bool("hotpath", false, "convert go test -bench Hotpath output on stdin into medians")
 		intvls  = flag.Bool("intervals", false, "measure representative-interval selection vs full-trace simulation")
-		quick   = flag.Bool("quick", false, "small traces and short budgets (CI smoke)")
+		quick   = flag.Bool("quick", false, "with -intervals: one small workload (CI smoke)")
 	)
 	flag.Parse()
 
@@ -35,7 +35,7 @@ func main() {
 	case *intvls:
 		err = runIntervals(*quick, *jobs, outPath(*out, "BENCH_intervals.json"))
 	case *hotpath:
-		err = runHotpath(*quick, outPath(*out, "BENCH_hotpath.json"))
+		err = runHotpath(outPath(*out, "BENCH_hotpath.json"))
 	default:
 		fmt.Fprintln(os.Stderr, "benchjson: one of -hotpath or -intervals is required")
 		flag.Usage()
@@ -53,4 +53,18 @@ func outPath(o, def string) string {
 		return def
 	}
 	return o
+}
+
+// writeJSON writes v as indented JSON to path, or to stdout for "-".
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }

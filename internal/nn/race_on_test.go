@@ -1,7 +1,7 @@
-//go:build !race
+//go:build race
 
-package repro
+package nn
 
 // raceEnabled reports whether the race detector is compiled in; timing
 // smokes skip themselves under its instrumentation overhead.
-const raceEnabled = false
+const raceEnabled = true

@@ -4,9 +4,10 @@
 #
 # "Measured" means the paper tables and the CI smokes plus the end-to-end
 # benchmark:
-#   - `make bench-smoke` (every table, every digest) and `make batch-smoke`,
-#     from one coverage-instrumented root test binary;
-#   - `make bench-hotpath-smoke` and the differential `cmd/check`;
+#   - `make bench-smoke` (every table, every digest, every hot-path
+#     benchmark) and `make batch-smoke`, from coverage-instrumented test
+#     binaries of the root package and internal/nn;
+#   - the differential `cmd/check`;
 #   - the crash, obs, intervals and server smokes, run unchanged with the
 #     Go toolchain told to build instrumented binaries (GOFLAGS);
 #   - one short untraced and one short traced run of each perfbench
@@ -38,22 +39,25 @@ cover="-cover -coverpkg=repro/..."
 
 echo "reach: building instrumented binaries..."
 # shellcheck disable=SC2086
-go build $cover -o "$bin/" ./cmd/benchjson ./cmd/check
+go build $cover -o "$bin/" ./cmd/check
 # shellcheck disable=SC2086
 (cd perfbench && go build $cover -o "$bin/perfbench" .)
 # shellcheck disable=SC2086
 go test -c $cover -o "$bin/root.test" .
+# shellcheck disable=SC2086
+go test -c $cover -o "$bin/nn.test" ./internal/nn
 
 echo "reach: bench-smoke and batch-smoke..."
 mkdir -p "$cov/bench"
 "$bin/root.test" -test.run '^$' -test.bench . -test.benchtime 1x \
     -test.gocoverdir="$cov/bench" > /dev/null
-"$bin/root.test" -test.run TestHotpathBatchSpeedupSmoke -test.count 1 \
+"$bin/nn.test" -test.run '^$' -test.bench . -test.benchtime 1x \
+    -test.gocoverdir="$cov/bench" > /dev/null
+"$bin/nn.test" -test.run TestHotpathBatchSpeedupSmoke -test.count 1 \
     -test.gocoverdir="$cov/bench" > /dev/null
 
-echo "reach: bench-hotpath-smoke and check..."
+echo "reach: check..."
 mkdir -p "$cov/cli"
-GOCOVERDIR="$cov/cli" "$bin/benchjson" -hotpath -quick -o - > /dev/null
 GOCOVERDIR="$cov/cli" "$bin/check" > /dev/null
 
 for s in crash obs intervals server; do
@@ -110,6 +114,7 @@ grep -v '^total:' "$tmp/func.txt" | awk '$NF == "0.0%" { print $1, $2 }' \
 # A function that only tests call belongs in a _test.go file, unless a test
 # in another package needs it (its rule then says which).
 cat > "$tmp/keep.txt" <<'EOF'
+cmd/benchjson/hotpath.go:* make bench: converts the hot-path benchmarks' output into BENCH_hotpath.json (TestConvertHotpath feeds it a fixed transcript)
 cmd/check/main.go:runReplay cmd/check -replay: re-runs a saved counterexample, which exists only after a divergence
 cmd/experiments/main.go:* the CLI that writes the paper tables; the bench smoke runs the same experiments through experiments.Run
 cmd/obstool/main.go:usage usage text for a bad command line
@@ -131,7 +136,6 @@ internal/experiments/experiments.go:SetKeepGoing cmd/experiments -keep-going
 internal/experiments/experiments.go:TrainedAgent examples/rlinsights
 internal/experiments/fig10.go:shortErr keep-going cell annotation, reached only when a cell fails
 internal/nn/batch.go:gemmGo pure-Go kernel where AVX2 is absent (TestForwardBatchPureGoPath and TestBackwardBatchPureGoPath pin it)
-internal/nn/nn.go:MLP.BackwardRef scalar reference the batched backward is checked against (batch tests, the hot-path benchmark)
 internal/nn/nn.go:MLP.SaveFull checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/obs/http.go:serveOn the -obs-addr endpoint of rlrsim and rltrain
 internal/obs/metrics.go:PublishExpvar the -obs-addr endpoint's /debug/vars
