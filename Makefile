@@ -17,12 +17,15 @@ test:
 # catches a uarch/workloads/policy API change that breaks the benchmark.
 # The gofmt check lists only tracked files: .bench_build/ holds Go caches.
 # The inline check fails when a miss-path helper of cachesim.Step stops
-# inlining.
+# inlining. The flag-ledger check fails on a CLI flag that no smoke or
+# Makefile invocation sets and no keep reason covers, and on a stale
+# testdata/flag_ledger.txt (scripts/flag_ledger.sh; a static scan).
 vet:
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet .
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	GO=$(GO) sh scripts/inline_check.sh
+	sh scripts/flag_ledger.sh -check
 
 race:
 	$(GO) test -race ./...
@@ -100,12 +103,15 @@ check:
 	$(GO) test -run='^$$' -fuzz=FuzzStampsMatchEager -fuzztime=15s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzOracleChainVsMap -fuzztime=15s ./internal/policy
 
-# Regenerates testdata/reach_ledger.txt: every non-test function that
-# neither the bench smoke, the CI smokes, cmd/check nor a short perfbench
-# run reaches, each with the reason it stays (scripts/reach.sh). Fails on a
-# function no keep rule covers. Not part of ci: it rebuilds everything with
-# coverage and takes a few minutes.
+# Regenerates testdata/flag_ledger.txt (every CLI flag, with the
+# invocation that sets it or the reason it stays; scripts/flag_ledger.sh)
+# and testdata/reach_ledger.txt: every non-test function that neither the
+# bench smoke, the CI smokes, cmd/check nor a short perfbench run reaches,
+# each with the reason it stays (scripts/reach.sh). Fails on a flag or a
+# function no keep rule covers. Not part of ci: the function ledger
+# rebuilds everything with coverage and takes a few minutes.
 reach:
+	sh scripts/flag_ledger.sh
 	sh scripts/reach.sh
 
 ci: vet race bench-smoke batch-smoke crash-smoke obs-smoke intervals-smoke server-smoke check

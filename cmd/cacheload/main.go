@@ -6,10 +6,8 @@
 //
 //	cacheload                                     # lru,drrip,ship,cbr on 429.mcf
 //	cacheload -policies lru,rlr -workload 470.lbm -n 100000
-//	cacheload -trace mcf.llct -policies lru       # replay a chunked trace file
 //	cacheload -addr http://127.0.0.1:8940 -n 5000 # drive a live server
 //	cacheload -qps 20000                          # throttle the replay rate
-//	cacheload -window 10s -topk 8 -span-trace jsonl:spans.jsonl@100 -policies lru
 //
 // Without -addr, cacheload boots one in-process server per policy on an
 // ephemeral loopback port, replays the same trace against each, and folds
@@ -59,7 +57,6 @@ func main() {
 	var (
 		policies = flag.String("policies", "lru,drrip,ship,cbr", "comma-separated policy list (in-process mode)")
 		workload = flag.String("workload", "429.mcf", "workload spec to derive the request stream from")
-		traceF   = flag.String("trace", "", "chunked trace file (.llct) to replay instead of -workload")
 		n        = flag.Int("n", 50_000, "number of accesses to replay")
 		qps      = flag.Float64("qps", 0, "target request rate (0 = full speed)")
 		addr     = flag.String("addr", "", "replay against this live server instead of in-process ones")
@@ -67,9 +64,6 @@ func main() {
 		sets     = flag.Int("sets", 1024, "in-process servers: total synthetic sets")
 		ways     = flag.Int("ways", 16, "in-process servers: ways per set")
 		memMB    = flag.Int64("mem-mb", 16, "in-process servers: byte budget in MiB")
-		window   = flag.Duration("window", 0, "in-process servers: sliding-window metrics span (0 = off)")
-		topK     = flag.Int("topk", 0, "in-process servers: heavy-hitter keys per shard (0 = off)")
-		spanSpec = flag.String("span-trace", "", "in-process servers: sample request spans into this sink (jsonl:PATH[@N], ring:N[@M], discard[@N])")
 		out      = flag.String("o", "BENCH_server.json", "output file ('-' for stdout)")
 	)
 	flag.Parse()
@@ -79,14 +73,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	accs, src, err := loadAccesses(*traceF, *workload, *n)
+	spec, err := workloads.ByName(*workload)
 	if err != nil {
 		fail(err)
 	}
+	accs := workloads.LLCAccesses(spec, *n)
 
 	rep := report{
 		Meta:      obs.CollectBuildInfo(),
-		Workload:  src,
+		Workload:  *workload,
 		Accesses:  len(accs),
 		QPSTarget: *qps,
 		Shards:    *shards,
@@ -109,8 +104,7 @@ func main() {
 			if pol == "" {
 				continue
 			}
-			res, err := replayInProcess(pol, accs, *qps, *shards, *sets, *ways, *memMB,
-				*window, *topK, *spanSpec)
+			res, err := replayInProcess(pol, accs, *qps, *shards, *sets, *ways, *memMB)
 			if err != nil {
 				fail(fmt.Errorf("policy %s: %w", pol, err))
 			}
@@ -137,60 +131,16 @@ func main() {
 	fmt.Printf("cacheload: wrote %s (%d policies, %d accesses)\n", *out, len(rep.Results), len(accs))
 }
 
-// loadAccesses materializes the request stream: the first n records of a
-// chunked trace file, or the workload's derived LLC access stream.
-func loadAccesses(traceF, workload string, n int) ([]trace.Access, string, error) {
-	if traceF == "" {
-		spec, err := workloads.ByName(workload)
-		if err != nil {
-			return nil, "", err
-		}
-		return workloads.LLCAccesses(spec, n), workload, nil
-	}
-	cf, err := trace.OpenChunked(traceF)
-	if err != nil {
-		return nil, "", err
-	}
-	defer cf.Close()
-	var accs []trace.Access
-	var fb []trace.Access
-	for i := 0; i < cf.Frames() && len(accs) < n; i++ {
-		if fb, err = cf.ReadFrameAt(i, fb); err != nil {
-			return nil, "", err
-		}
-		accs = append(accs, fb...)
-	}
-	if len(accs) > n {
-		accs = accs[:n]
-	}
-	return accs, traceF, nil
-}
-
 // replayInProcess boots a server with the given policy on an ephemeral
 // loopback port, replays the trace over real TCP, and folds the client
-// report with the server's counters. The telemetry knobs mirror rlcached's
-// -window/-topk/-span-trace; the span sink is opened fresh per policy, so
-// a jsonl: path holds the last policy's spans — use one -policies entry
-// (or a ring sink) when span output matters.
-func replayInProcess(pol string, accs []trace.Access, qps float64, shards, sets, ways int, memMB int64,
-	window time.Duration, topK int, spanSpec string) (result, error) {
-	tel := server.TelemetryConfig{Window: window, TopK: topK}
-	if spanSpec != "" {
-		sink, ring, sample, err := obs.OpenSpanSink(spanSpec)
-		if err != nil {
-			return result{}, err
-		}
-		tel.Spans = obs.NewSpanTracer(sink, sample)
-		tel.SpanRing = ring
-		defer tel.Spans.Close()
-	}
+// report with the server's counters. The servers run with telemetry off.
+func replayInProcess(pol string, accs []trace.Access, qps float64, shards, sets, ways int, memMB int64) (result, error) {
 	srv, err := server.New(server.Config{
 		Policy:      pol,
 		Shards:      shards,
 		Sets:        sets,
 		Ways:        ways,
 		MemoryBytes: memMB << 20,
-		Telemetry:   tel,
 	})
 	if err != nil {
 		return result{}, err

@@ -28,15 +28,14 @@ func main() {
 		pairName = flag.String("pair", "", "run only this pair (default: all)")
 		class    = flag.String("class", "", "run only this trace class (default: all)")
 		replay   = flag.String("replay", "", "replay a saved counterexample file instead of sweeping")
-		noShrink = flag.Bool("noshrink", false, "print the raw divergence without minimizing")
 		verbose  = flag.Bool("v", false, "print every cell as it runs")
 	)
 	flag.Parse()
 
 	if *replay != "" {
-		os.Exit(runReplay(*replay, *noShrink))
+		os.Exit(runReplay(*replay))
 	}
-	os.Exit(runSweep(*pairName, *class, *seeds, *n, *noShrink, *verbose))
+	os.Exit(runSweep(*pairName, *class, *seeds, *n, *verbose))
 }
 
 // geometries is the sweep's cache-shape grid: the degenerate single- and
@@ -50,7 +49,7 @@ var geometries = []cache.Config{
 	{Sets: 64, Ways: 8, LineSize: 64},
 }
 
-func runSweep(pairFilter, classFilter string, seeds, n int, noShrink, verbose bool) int {
+func runSweep(pairFilter, classFilter string, seeds, n int, verbose bool) int {
 	pairs := refmodel.Pairs()
 	if pairFilter != "" {
 		p, ok := refmodel.PairByName(pairFilter)
@@ -98,10 +97,8 @@ func runSweep(pairFilter, classFilter string, seeds, n int, noShrink, verbose bo
 					fmt.Fprintf(os.Stderr,
 						"check: DIVERGENCE pair=%s class=%s geometry=%dx%d seed=%d\n",
 						pair.Name, cls.Name, cfg.Sets, cfg.Ways, seed)
-					if !noShrink {
-						fmt.Fprintf(os.Stderr, "check: shrinking %d-access trace...\n", len(d.Accesses))
-						d = refmodel.Shrink(pair, d)
-					}
+					fmt.Fprintf(os.Stderr, "check: shrinking %d-access trace...\n", len(d.Accesses))
+					d = refmodel.Shrink(pair, d)
 					fmt.Fprint(os.Stderr, d.String())
 					fmt.Fprintln(os.Stderr,
 						"check: save the lines above and re-run with -replay FILE to reproduce")
@@ -115,7 +112,7 @@ func runSweep(pairFilter, classFilter string, seeds, n int, noShrink, verbose bo
 	return 0
 }
 
-func runReplay(path string, noShrink bool) int {
+func runReplay(path string) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "check: %v\n", err)
@@ -138,9 +135,7 @@ func runReplay(path string, noShrink bool) int {
 			path, len(ce.Accesses), ce.Pair, ce.Cfg.Sets, ce.Cfg.Ways)
 		return 0
 	}
-	if !noShrink {
-		d = refmodel.Shrink(pair, d)
-	}
+	d = refmodel.Shrink(pair, d)
 	fmt.Fprint(os.Stderr, d.String())
 	return 1
 }

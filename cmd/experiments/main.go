@@ -6,7 +6,7 @@
 //	experiments -run fig10 -scale quick
 //	experiments -run all -scale full -csv
 //	experiments -run all -scale quick -jobs 8
-//	experiments -run all -scale full -obs-addr localhost:6060 -trace ring:4096
+//	experiments -run all -scale full -obs-addr localhost:6060 -obs-trace ring:4096
 //
 // Experiments fan out over a bounded worker pool (internal/sched): each
 // one runs its (workload × policy) grid in parallel, and with -run all
@@ -43,7 +43,7 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		traceSpec = flag.String("trace", "", "cache-event trace sink: jsonl:PATH, ring:N, or discard (optional @N sampling)")
+		traceSpec = flag.String("obs-trace", "", "cache-event trace sink: jsonl:PATH, ring:N, or discard (optional @N sampling)")
 		obsAddr   = flag.String("obs-addr", "", "serve live metrics/expvar/pprof on this address while the suite runs")
 	)
 	flag.Parse()

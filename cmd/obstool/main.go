@@ -1,6 +1,6 @@
 // Command obstool inspects the observability layer's artifacts and live
 // endpoints: run manifests (rltrain -manifest), cache-event traces
-// (-trace / -obs-trace jsonl sinks), and a running rlcached's telemetry.
+// (-obs-trace jsonl sinks), and a running rlcached's telemetry.
 //
 // Usage:
 //
@@ -16,7 +16,7 @@
 // manifest metric (loss, mean_reward, hit_rate, weight_norm) as a bar
 // chart, the quick look at "is training converging" that otherwise needs a
 // plotting stack. top polls /stats, /window, and /topkeys and redraws a
-// terminal dashboard every -interval: rolling hit rate, QPS, eviction
+// terminal dashboard every 2 s: rolling hit rate, QPS, eviction
 // rate, latency quantiles per shard, and the heavy-hitter keys.
 package main
 

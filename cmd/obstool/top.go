@@ -12,16 +12,21 @@ import (
 	"repro/internal/server"
 )
 
+// The dashboard redraws every refresh and lists topRows heavy-hitter keys
+// per table.
+const (
+	refresh = 2 * time.Second
+	topRows = 8
+)
+
 // top is the live terminal view over a running rlcached: it polls /stats,
-// /window, and /topkeys every -interval and redraws one dashboard frame
+// /window, and /topkeys every refresh and redraws one dashboard frame
 // (ANSI home+clear between frames; -once prints a single frame and exits,
 // which is what the smoke script drives).
 func top(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8940", "rlcached base URL")
-	interval := fs.Duration("interval", 2*time.Second, "refresh interval")
 	once := fs.Bool("once", false, "print one frame and exit")
-	rows := fs.Int("n", 8, "heavy-hitter rows to show")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		usage()
@@ -30,7 +35,7 @@ func top(args []string) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 
 	for {
-		frame, err := renderFrame(client, base, *rows)
+		frame, err := renderFrame(client, base, topRows)
 		if err != nil {
 			return err
 		}
@@ -39,7 +44,7 @@ func top(args []string) error {
 			return nil
 		}
 		fmt.Print("\033[H\033[2J" + frame)
-		time.Sleep(*interval)
+		time.Sleep(refresh)
 	}
 }
 

@@ -8,14 +8,12 @@
 //	rlcached                                  # lru on :8940, 256 MiB
 //	rlcached -policy drrip -shards 4 -mem-mb 512
 //	rlcached -addr 127.0.0.1:0 -addr-file a   # ephemeral port for scripts
-//	rlcached -obs-addr 127.0.0.1:9100         # separate obs endpoint
 //	rlcached -span-trace ring:4096@100        # sample request spans to /spans
 //
 // The server mounts /kv/<key> (GET/PUT/DELETE), /stats (JSON), /metrics
 // (obs registry; ?format=prometheus for the exposition format), /window
 // (sliding-window metrics), /topkeys (heavy-hitter keys), /spans (recent
-// sampled spans, ring sinks only), and /healthz on -addr; -obs-addr
-// additionally serves the standard obs endpoint (metrics, expvar, pprof).
+// sampled spans, ring sinks only), and /healthz on -addr.
 // Windowed metrics and heavy-hitter sketches are on by default (-window,
 // -topk); span tracing is opt-in (-span-trace). `obstool top -addr URL`
 // renders the live view.
@@ -48,12 +46,10 @@ func main() {
 		ways      = flag.Int("ways", 16, "ways per synthetic set")
 		memMB     = flag.Int64("mem-mb", 256, "total byte budget in MiB, split across shards")
 		maxObject = flag.Int64("max-object", 0, "admission bound in bytes; larger PUTs bypass (0 = budget/shards/4)")
-		obsAddr   = flag.String("obs-addr", "", "also serve the obs endpoint (metrics/expvar/pprof) on this address")
 
-		window    = flag.Duration("window", time.Minute, "sliding-window metrics span for /window (0 disables)")
-		winBucket = flag.Duration("window-bucket", time.Second, "sliding-window bucket duration")
-		topK      = flag.Int("topk", 16, "heavy-hitter keys tracked per shard for /topkeys (0 disables)")
-		spanSpec  = flag.String("span-trace", "", "sample request spans into this sink: jsonl:PATH[@N], ring:N[@M], or discard[@N] (ring spans are served at /spans)")
+		window   = flag.Duration("window", time.Minute, "sliding-window metrics span for /window (0 disables)")
+		topK     = flag.Int("topk", 16, "heavy-hitter keys tracked per shard for /topkeys (0 disables)")
+		spanSpec = flag.String("span-trace", "", "sample request spans into this sink: jsonl:PATH[@N], ring:N[@M], or discard[@N] (ring spans are served at /spans)")
 	)
 	flag.Parse()
 
@@ -69,9 +65,8 @@ func main() {
 	obs.Enable() // the server is long-lived; metrics are the point
 
 	tel := server.TelemetryConfig{
-		Window:       *window,
-		WindowBucket: *winBucket,
-		TopK:         *topK,
+		Window: *window,
+		TopK:   *topK,
 	}
 	if *spanSpec != "" {
 		sink, ring, sample, err := obs.OpenSpanSink(*spanSpec)
@@ -106,14 +101,6 @@ func main() {
 		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
 			fail(err)
 		}
-	}
-	if *obsAddr != "" {
-		obsBound, obsShutdown, err := obs.Serve(*obsAddr, nil)
-		if err != nil {
-			fail(err)
-		}
-		defer obsShutdown()
-		fmt.Printf("rlcached: obs endpoint on http://%s\n", obsBound)
 	}
 
 	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}

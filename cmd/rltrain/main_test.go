@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/binary"
 	"errors"
+	"flag"
 	"io"
 	"path/filepath"
 	"testing"
@@ -33,5 +34,19 @@ func TestVersion1CheckpointRefused(t *testing.T) {
 	}
 	if mm.GotVers != 1 || mm.WantVersion != ckptVersion {
 		t.Fatalf("mismatch reports version %d, want %d (current %d)", mm.GotVers, 1, ckptVersion)
+	}
+}
+
+// TestFlagNames pins the CLI's flag names: -trace names an input trace
+// file and -shards server shards in the other commands, so rltrain
+// defines neither, and its event sink is -obs-trace as in rlrsim.
+func TestFlagNames(t *testing.T) {
+	for _, gone := range []string{"trace", "shards"} {
+		if flag.Lookup(gone) != nil {
+			t.Errorf("rltrain defines -%s", gone)
+		}
+	}
+	if flag.Lookup("obs-trace") == nil {
+		t.Error("rltrain does not define -obs-trace")
 	}
 }

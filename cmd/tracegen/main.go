@@ -31,12 +31,11 @@ func main() {
 		compress = flag.Bool("compress", false, "flate-compress frame payloads")
 		frame    = flag.Int("frame", 0, "accesses per frame (0 = default)")
 		stat     = flag.String("stat", "", "print frame count, accesses, and unique blocks of a chunked trace, then exit")
-		line     = flag.Uint64("line", 64, "with -stat: cache line size for unique-block counting")
 	)
 	flag.Parse()
 
 	if *stat != "" {
-		if err := statChunked(*stat, *line); err != nil {
+		if err := statChunked(*stat); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

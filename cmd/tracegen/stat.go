@@ -7,23 +7,15 @@ import (
 )
 
 // statChunked prints a summary of a chunked LLC trace: frames, accesses,
-// per-type counts, and unique blocks at the given line size. It streams
-// frame by frame, so memory stays O(frame + unique blocks) however large
-// the trace is.
-func statChunked(path string, lineSize uint64) error {
-	if lineSize == 0 || lineSize&(lineSize-1) != 0 {
-		return fmt.Errorf("tracegen: -line must be a power of two, got %d", lineSize)
-	}
+// per-type counts, and unique 64-byte blocks. It streams frame by frame,
+// so memory stays O(frame + unique blocks) however large the trace is.
+func statChunked(path string) error {
 	cf, err := trace.OpenChunked(path)
 	if err != nil {
 		return err
 	}
 	defer cf.Close()
 
-	shift := 0
-	for l := lineSize; l > 1; l >>= 1 {
-		shift++
-	}
 	blocks := make(map[uint64]struct{})
 	var byType [trace.NumAccessTypes]uint64
 	var buf []trace.Access
@@ -33,7 +25,7 @@ func statChunked(path string, lineSize uint64) error {
 			return err
 		}
 		for _, a := range buf {
-			blocks[a.Addr>>shift] = struct{}{}
+			blocks[a.Addr>>6] = struct{}{}
 			byType[a.Type]++
 		}
 	}
@@ -44,6 +36,6 @@ func statChunked(path string, lineSize uint64) error {
 			fmt.Printf("  %-11s  %d\n", t.String()+":", byType[t])
 		}
 	}
-	fmt.Printf("unique blocks: %d (line size %d)\n", len(blocks), lineSize)
+	fmt.Printf("unique blocks: %d (line size 64)\n", len(blocks))
 	return nil
 }

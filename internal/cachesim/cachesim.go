@@ -37,7 +37,10 @@ type Stats struct {
 
 	Evictions      uint64
 	DirtyEvictions uint64
-	CompulsoryMiss uint64
+	// InvalidFills counts misses that filled an invalid way without
+	// asking the policy for a victim. It is not the compulsory-miss count:
+	// a first touch to a block whose set is full is an eviction.
+	InvalidFills uint64
 }
 
 // HitRate returns hits/accesses as a percentage (the Figure 1 metric).
@@ -270,7 +273,7 @@ func (s *Simulator) Step(a trace.Access) (res StepResult) {
 			s.checkVictim(a, way)
 		}
 	} else {
-		s.stats.CompulsoryMiss++
+		s.stats.InvalidFills++
 	}
 	if way == policy.Bypass {
 		s.stats.Bypasses++

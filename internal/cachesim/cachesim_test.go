@@ -34,10 +34,9 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("by-type stats = %+v", st.AccessesByType)
 	}
 	// Blocks 0, 4, 8 all map to set 0 of a 2-way cache: only the first two
-	// fills land in invalid ways; the third consults the policy, so it is
-	// not counted as compulsory by this accounting.
-	if st.CompulsoryMiss != 2 {
-		t.Errorf("compulsory = %d, want 2", st.CompulsoryMiss)
+	// fills land in invalid ways; the third consults the policy and evicts.
+	if st.InvalidFills != 2 {
+		t.Errorf("invalid-way fills = %d, want 2", st.InvalidFills)
 	}
 	if st.Evictions != 1 {
 		t.Errorf("evictions = %d, want 1", st.Evictions)

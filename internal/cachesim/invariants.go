@@ -175,11 +175,11 @@ func (s *Simulator) checkStep(a trace.Access, res StepResult, rawVictim int) {
 	if st.Bypasses > st.Misses {
 		s.violate(a, "bypasses %d exceed misses %d", st.Bypasses, st.Misses)
 	}
-	// Every miss resolves exactly one way: a fill into an invalid way
-	// (compulsory), a bypass, or a fill that evicts a valid line.
-	if st.Evictions+st.Bypasses+st.CompulsoryMiss != st.Misses {
-		s.violate(a, "evictions %d + bypasses %d + compulsory %d != misses %d",
-			st.Evictions, st.Bypasses, st.CompulsoryMiss, st.Misses)
+	// Every miss resolves exactly one way: a fill into an invalid way, a
+	// bypass, or a fill that evicts a valid line.
+	if st.Evictions+st.Bypasses+st.InvalidFills != st.Misses {
+		s.violate(a, "evictions %d + bypasses %d + invalid-way fills %d != misses %d",
+			st.Evictions, st.Bypasses, st.InvalidFills, st.Misses)
 	}
 	if st.DirtyEvictions > st.Evictions {
 		s.violate(a, "dirty evictions %d exceed evictions %d", st.DirtyEvictions, st.Evictions)

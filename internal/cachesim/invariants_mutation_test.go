@@ -159,13 +159,13 @@ func TestBypassNeverFillsOrPerturbs(t *testing.T) {
 	s := New(mutCfg, 1, &alwaysBypass{})
 	s.EnableInvariants()
 
-	// Warm: fill both ways of both sets (compulsory fills bypass nothing).
+	// Warm: fill both ways of both sets (invalid-way fills bypass nothing).
 	var warm []trace.Access
 	for i := 0; i < 4; i++ {
 		warm = append(warm, trace.Access{PC: 1, Addr: uint64(i) * 64, Type: trace.Load})
 	}
 	s.Run(warm)
-	if st := s.Stats(); st.CompulsoryMiss != 4 || st.Bypasses != 0 {
+	if st := s.Stats(); st.InvalidFills != 4 || st.Bypasses != 0 {
 		t.Fatalf("warmup stats: %+v", st)
 	}
 	snapshot := func() []cache.Line {

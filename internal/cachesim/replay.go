@@ -115,7 +115,7 @@ func diffStats(cur, base Stats) Stats {
 		DemandMisses:   cur.DemandMisses - base.DemandMisses,
 		Evictions:      cur.Evictions - base.Evictions,
 		DirtyEvictions: cur.DirtyEvictions - base.DirtyEvictions,
-		CompulsoryMiss: cur.CompulsoryMiss - base.CompulsoryMiss,
+		InvalidFills:   cur.InvalidFills - base.InvalidFills,
 	}
 	for i := range d.AccessesByType {
 		d.AccessesByType[i] = cur.AccessesByType[i] - base.AccessesByType[i]

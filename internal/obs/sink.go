@@ -164,7 +164,7 @@ const (
 	sinkDiscard
 )
 
-// sinkSpec is the parsed form of a -trace / -span-trace flag value.
+// sinkSpec is the parsed form of an -obs-trace / -span-trace flag value.
 type sinkSpec struct {
 	kind   sinkKind
 	path   string // sinkJSONL
@@ -212,7 +212,7 @@ func parseSinkSpec(spec string) (sinkSpec, error) {
 	return out, nil
 }
 
-// OpenSink builds a cache-event sink from a -trace flag spec (see
+// OpenSink builds a cache-event sink from an -obs-trace flag spec (see
 // parseSinkSpec for the grammar). The returned sample factor is what
 // NewSinkHook should be given.
 func OpenSink(spec string) (Sink, int, error) {

@@ -9,25 +9,7 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/sched"
-	"repro/internal/trace"
 )
-
-// multiSetTrace spreads a cyclic pattern across both sets of the 2-set
-// test geometry so sharded training has work in every shard.
-func multiSetTrace(nBlocks, reps int) []trace.Access {
-	var out []trace.Access
-	for r := 0; r < reps; r++ {
-		for b := 0; b < nBlocks; b++ {
-			out = append(out, trace.Access{
-				PC:   uint64(0x400 + b*4),
-				Addr: uint64(b) * 64, // stride 1 block → alternating sets
-				Type: trace.Load,
-			})
-		}
-	}
-	return out
-}
 
 // TestBatchedTrainByteIdentical is the checkpoint-compatibility pin: the
 // batched minibatch step must leave the trainer in EXACTLY the state the
@@ -95,59 +77,6 @@ func TestTracedDecisionsIdenticalUnderBatchedTraining(t *testing.T) {
 		if gotEv[i].Kind != obs.EvDecision {
 			t.Fatalf("record %d has kind %v, want EvDecision", i, gotEv[i].Kind)
 		}
-	}
-}
-
-// TestTrainShardedParallelDeterministic pins the parallel-training
-// determinism contract: results are a pure function of (trace, config),
-// independent of the worker count, and the stats merge is in shard order.
-func TestTrainShardedParallelDeterministic(t *testing.T) {
-	cc, opts := trainCfg()
-	opts.Epochs = 2
-	accesses := multiSetTrace(12, 50) // 6 blocks per 4-way set → evictions in both shards
-
-	run := func(workers int) ([][]byte, []ShardStats, cachesim.Stats) {
-		old := sched.Workers()
-		sched.SetWorkers(workers)
-		defer sched.SetWorkers(old)
-		sh, stats := TrainShardedParallel(cc, 2, accesses, opts)
-		var models [][]byte
-		for _, a := range sh.Agents() {
-			var buf bytes.Buffer
-			if err := a.SaveModel(&buf); err != nil {
-				t.Fatalf("SaveModel: %v", err)
-			}
-			models = append(models, buf.Bytes())
-		}
-		return models, stats, EvaluateSharded(cc, sh, accesses)
-	}
-
-	m1, s1, e1 := run(1)
-	m8, s8, e8 := run(8)
-	for i := range m1 {
-		if !bytes.Equal(m1[i], m8[i]) {
-			t.Errorf("shard %d: model differs between 1 and 8 workers", i)
-		}
-	}
-	if !reflect.DeepEqual(s1, s8) {
-		t.Errorf("shard stats differ across worker counts: %+v vs %+v", s1, s8)
-	}
-	if e1 != e8 {
-		t.Errorf("evaluation differs across worker counts: %+v vs %+v", e1, e8)
-	}
-
-	total := 0
-	for i, st := range s1 {
-		if st.Shard != i {
-			t.Errorf("stats[%d].Shard = %d, want %d (shard-order merge)", i, st.Shard, i)
-		}
-		total += st.Accesses
-	}
-	if total != len(accesses) {
-		t.Errorf("shard sub-traces cover %d accesses, trace has %d", total, len(accesses))
-	}
-	if s1[0].Decisions == 0 && s1[1].Decisions == 0 {
-		t.Error("no shard made any training decisions")
 	}
 }
 

@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cachesim"
-	"repro/internal/mathx"
 	"repro/internal/policy"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -264,26 +262,6 @@ func Evaluate(cfg cache.Config, agent *Agent, accesses []trace.Access) cachesim.
 	return sim.Run(accesses)
 }
 
-// EvaluateSharded replays accesses under a greedy sharded agent.
-func EvaluateSharded(cfg cache.Config, sh *Sharded, accesses []trace.Access) cachesim.Stats {
-	sh.SetTraining(false)
-	sim := cachesim.New(cfg, 1, sh)
-	sh.SetSim(sim)
-	return sim.Run(accesses)
-}
-
-// EvaluateShardedInt8 replays accesses under a greedy sharded agent with
-// every shard frozen to int8 inference; the frozen copies are dropped
-// afterwards. Use behind the experiments accuracy gate.
-func EvaluateShardedInt8(cfg cache.Config, sh *Sharded, accesses []trace.Access) cachesim.Stats {
-	sh.SetTraining(false)
-	sim := cachesim.New(cfg, 1, sh)
-	sh.SetSim(sim)
-	sh.SetInt8(true) // after Init (which clears it), before the run
-	defer sh.SetInt8(false)
-	return sim.Run(accesses)
-}
-
 // EvaluateInt8 replays accesses under the agent's frozen int8 policy: the
 // online network is quantized once, every Victim decision is scored by
 // the integer kernels, and the float net is untouched. The int8 copy is
@@ -295,68 +273,4 @@ func EvaluateInt8(cfg cache.Config, agent *Agent, accesses []trace.Access) cache
 	agent.SetInt8(true) // after Init (which clears it), before the run
 	defer agent.SetInt8(false)
 	return sim.Run(accesses)
-}
-
-// ShardStats is one shard's contribution to a parallel training run,
-// reported in shard-index order regardless of completion order.
-type ShardStats struct {
-	Shard     int
-	Accesses  int     // sub-trace length routed to this shard
-	Loss      float64 // mean minibatch TD loss over the whole run
-	Reward    float64 // mean per-decision reward over the whole run
-	Decisions uint64
-	Batches   uint64
-}
-
-// TrainShardedParallel trains the n set-shards concurrently, one worker
-// per shard (bounded by sched.SetWorkers): the trace is split by home set
-// index modulo n, and each agent trains on its own sub-trace with a
-// private simulator and a private oracle built over that sub-trace.
-//
-// Determinism contract: each shard's training is a pure function of its
-// sub-trace and seed — shards share nothing mutable — so results are
-// byte-identical across any worker count, and the stats merge always runs
-// in shard-index order. Evaluation composes the shards over one shared
-// simulator, routing each access to its shard by set index modulo n.
-func TrainShardedParallel(cfg cache.Config, n int, accesses []trace.Access, opts TrainOptions) (*Sharded, []ShardStats) {
-	sh := NewSharded(n, opts.Agent)
-	epochs := opts.Epochs
-	if epochs < 1 {
-		epochs = 1
-	}
-	shift := uint(mathx.ILog2(cfg.LineSize))
-	mask := uint64(cfg.Sets - 1)
-	parts := make([][]trace.Access, n)
-	for _, a := range accesses {
-		i := int(uint32((a.Addr>>shift)&mask) % uint32(n))
-		parts[i] = append(parts[i], a)
-	}
-	_ = sched.ForEach(n, func(i int) error {
-		agent := sh.agents[i]
-		sub := parts[i]
-		if len(sub) == 0 {
-			return nil
-		}
-		oracle := policy.NewOracle(sub, cfg.LineSize)
-		agent.SetOracle(oracle)
-		agent.SetTraining(true)
-		for e := 0; e < epochs; e++ {
-			oracle.ResetReplay()
-			sim := cachesim.New(cfg, 1, agent)
-			agent.SetSim(sim)
-			sim.Run(sub)
-		}
-		return nil
-	})
-	sh.SetTraining(false)
-	stats := make([]ShardStats, n)
-	for i, a := range sh.agents { // deterministic merge: shard-index order
-		tel := a.TakeTelemetry()
-		stats[i] = ShardStats{
-			Shard: i, Accesses: len(parts[i]),
-			Loss: tel.Loss, Reward: tel.MeanReward,
-			Decisions: tel.Decisions, Batches: tel.Batches,
-		}
-	}
-	return sh, stats
 }

@@ -6,21 +6,6 @@ package sched
 // (workload × policy) cell should annotate its table row rather than throw
 // away hours of completed neighbours.
 
-// ForEachAll runs fn(i) for every i in [0, n) on the bounded pool with no
-// cancellation and returns a per-index error slice (all-nil on full
-// success). Panics are converted to *PanicError like everywhere in sched.
-func ForEachAll(n int, fn func(i int) error) []error {
-	errs := make([]error, n)
-	// The outer job never errors, so ForEach's cancellation never triggers
-	// and every index runs; determinism of the per-index outcomes follows
-	// from each cell being independent.
-	ForEach(n, func(i int) error {
-		errs[i] = protect(i, fn)
-		return nil
-	})
-	return errs
-}
-
 // MapAll is Map without cancellation: every index runs, results land in
 // index order, and the second slice carries each cell's error (nil for
 // succeeded cells, whose results are valid).

@@ -90,58 +90,36 @@ func TestStreamIsolatesPanic(t *testing.T) {
 	}
 }
 
-func TestForEachAllRunsEverything(t *testing.T) {
+func TestMapAllKeepsGoodResults(t *testing.T) {
 	withWorkers(t, 4, func() {
-		var ran [10]atomic.Bool
-		errs := ForEachAll(10, func(i int) error {
-			ran[i].Store(true)
+		out, errs := MapAll(6, func(i int) (int, error) {
 			switch i {
-			case 2:
-				return errors.New("plain failure")
-			case 7:
+			case 1:
+				return 0, errors.New("bad cell")
+			case 4:
 				panic("panicking cell")
 			}
-			return nil
+			return i * 10, nil
 		})
-		for i := range ran {
-			if !ran[i].Load() {
-				t.Errorf("cell %d skipped", i)
+		for i := 0; i < 6; i++ {
+			if i == 1 || i == 4 {
+				if errs[i] == nil {
+					t.Errorf("cell %d error lost", i)
+				}
+				continue
 			}
-		}
-		for i, err := range errs {
-			wantErr := i == 2 || i == 7
-			if (err != nil) != wantErr {
-				t.Errorf("errs[%d] = %v", i, err)
+			if errs[i] != nil || out[i] != i*10 {
+				t.Errorf("cell %d: out=%d err=%v", i, out[i], errs[i])
 			}
 		}
 		var pe *PanicError
-		if !errors.As(errs[7], &pe) || pe.Index != 7 {
-			t.Errorf("errs[7] = %v, want *PanicError{Index: 7}", errs[7])
+		if !errors.As(errs[4], &pe) || pe.Index != 4 {
+			t.Errorf("errs[4] = %v, want *PanicError{Index: 4}", errs[4])
 		}
 		if helpersInUse() != 0 {
 			t.Errorf("%d helper tokens leaked", helpersInUse())
 		}
 	})
-}
-
-func TestMapAllKeepsGoodResults(t *testing.T) {
-	out, errs := MapAll(6, func(i int) (int, error) {
-		if i == 1 {
-			return 0, errors.New("bad cell")
-		}
-		return i * 10, nil
-	})
-	for i := 0; i < 6; i++ {
-		if i == 1 {
-			if errs[i] == nil {
-				t.Error("cell 1 error lost")
-			}
-			continue
-		}
-		if errs[i] != nil || out[i] != i*10 {
-			t.Errorf("cell %d: out=%d err=%v", i, out[i], errs[i])
-		}
-	}
 }
 
 func TestStreamAllEmitsEveryIndex(t *testing.T) {

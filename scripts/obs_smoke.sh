@@ -21,7 +21,7 @@ go build -o "$dir/obstool" ./cmd/obstool
 
 echo "obs-smoke: traced training run ($WORKLOAD, $ACCESSES accesses, $EPOCHS epochs)..."
 "$dir/rltrain" -workload "$WORKLOAD" -accesses "$ACCESSES" -epochs "$EPOCHS" \
-    -manifest "$dir/run.jsonl" -trace "jsonl:$dir/events.jsonl@10" \
+    -manifest "$dir/run.jsonl" -obs-trace "jsonl:$dir/events.jsonl@10" \
     -progress 0 > /dev/null
 
 echo "obs-smoke: validating the run manifest..."
