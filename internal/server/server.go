@@ -81,9 +81,6 @@ type TelemetryConfig struct {
 	// eviction rate, latency quantiles per shard and globally, served at
 	// /window) spanning this duration. 0 disables.
 	Window time.Duration
-	// WindowBucket is the ring-bucket duration (default 1s). The ring
-	// holds ceil(Window/WindowBucket) buckets.
-	WindowBucket time.Duration
 	// TopK enables per-shard Space-Saving sketches of the keys driving
 	// misses and evictions (merged across shards at /topkeys), tracking
 	// this many keys per shard. 0 disables.
@@ -99,6 +96,10 @@ type TelemetryConfig struct {
 	Clock obs.Clock
 }
 
+// windowBucket is the ring-bucket duration of every window; the ring holds
+// ceil(Window/windowBucket) buckets.
+const windowBucket = time.Second
+
 // windowed reports whether sliding-window metrics are on.
 func (t TelemetryConfig) windowed() bool { return t.Window > 0 }
 
@@ -107,12 +108,8 @@ func (t TelemetryConfig) newWindow() *obs.Window {
 	if !t.windowed() {
 		return nil
 	}
-	bucket := t.WindowBucket
-	if bucket <= 0 {
-		bucket = time.Second
-	}
-	n := int((t.Window + bucket - 1) / bucket)
-	return obs.NewWindow(obs.WindowConfig{Bucket: bucket, Buckets: n, Now: t.Clock})
+	n := int((t.Window + windowBucket - 1) / windowBucket)
+	return obs.NewWindow(obs.WindowConfig{Bucket: windowBucket, Buckets: n, Now: t.Clock})
 }
 
 // Server is one policy-driven cache instance plus its HTTP facade.

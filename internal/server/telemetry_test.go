@@ -114,7 +114,7 @@ func TestWindowReportDeterministic(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	srv := newTestServer(t, Config{
 		Policy: "lru", Shards: 2, Sets: 64, Ways: 4,
-		Telemetry: TelemetryConfig{Window: 10 * time.Second, WindowBucket: time.Second, Clock: clk.Now},
+		Telemetry: TelemetryConfig{Window: 10 * time.Second, Clock: clk.Now},
 	})
 
 	// 20 keys: PUT each (a fill), then GET each twice (hits), spread over
