@@ -71,7 +71,8 @@ crash-smoke:
 
 # Observability smoke: short traced training run, then strict-validate the
 # run manifest (run_start + epoch telemetry + run_end) and the event trace
-# with obstool.
+# with obstool; a traced quick fig1 grid through cmd/experiments (its
+# trace validated too) and its tab1 CSV header.
 obs-smoke:
 	sh scripts/obs_smoke.sh
 

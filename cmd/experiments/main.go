@@ -53,29 +53,12 @@ func main() {
 	// Observability is opt-in and does not perturb results: tables are
 	// byte-identical with tracing + metrics on or off (pinned by
 	// TestObservabilityDeterminism).
-	if *traceSpec != "" || *obsAddr != "" {
-		obs.Enable()
-	}
-	var ring *obs.RingSink
-	if *traceSpec != "" {
-		sink, sample, err := obs.OpenSink(*traceSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer sink.Close()
-		ring, _ = sink.(*obs.RingSink)
-		obs.SetGlobalHook(obs.NewSinkHook(sink, sample))
-	}
-	bound, obsShutdown, err := obs.Serve(*obsAddr, ring)
+	stopObs, err := obs.StartCLI(*traceSpec, *obsAddr, false)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer obsShutdown()
-	if bound != "" {
-		fmt.Fprintf(os.Stderr, "[observability endpoint: http://%s]\n", bound)
-	}
+	defer stopObs()
 
 	stopCPU, err := profiling.StartCPU(*cpuProf)
 	if err != nil {

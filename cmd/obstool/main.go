@@ -76,7 +76,7 @@ func validate(args []string) error {
 	counts := map[string]int{}
 	total := 0
 	if *events {
-		evs, err := obs.ReadEvents(f)
+		evs, err := obs.ReadJSONL[obs.CacheEvent](f)
 		if err != nil {
 			return err
 		}
@@ -85,7 +85,7 @@ func validate(args []string) error {
 		}
 		total = len(evs)
 	} else {
-		recs, err := obs.ReadManifest(f)
+		recs, err := obs.ReadJSONL[obs.ManifestRecord](f)
 		if err != nil {
 			return err
 		}
@@ -126,7 +126,7 @@ func curve(args []string) error {
 		return err
 	}
 	defer f.Close()
-	recs, err := obs.ReadManifest(f)
+	recs, err := obs.ReadJSONL[obs.ManifestRecord](f)
 	if err != nil {
 		return err
 	}

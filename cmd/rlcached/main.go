@@ -8,15 +8,15 @@
 //	rlcached                                  # lru on :8940, 256 MiB
 //	rlcached -policy drrip -shards 4 -mem-mb 512
 //	rlcached -addr 127.0.0.1:0 -addr-file a   # ephemeral port for scripts
-//	rlcached -span-trace ring:4096@100        # sample request spans to /spans
+//	rlcached -obs-trace ring:4096@100         # sample request spans to /spans
 //
 // The server mounts /kv/<key> (GET/PUT/DELETE), /stats (JSON), /metrics
 // (obs registry; ?format=prometheus for the exposition format), /window
 // (sliding-window metrics), /topkeys (heavy-hitter keys), /spans (recent
 // sampled spans, ring sinks only), and /healthz on -addr.
 // Windowed metrics and heavy-hitter sketches are on by default (-window,
-// -topk); span tracing is opt-in (-span-trace). `obstool top -addr URL`
-// renders the live view.
+// -topk); span tracing is opt-in (-obs-trace, the sink grammar every CLI
+// shares). `obstool top -addr URL` renders the live view.
 package main
 
 import (
@@ -49,7 +49,7 @@ func main() {
 
 		window   = flag.Duration("window", time.Minute, "sliding-window metrics span for /window (0 disables)")
 		topK     = flag.Int("topk", 16, "heavy-hitter keys tracked per shard for /topkeys (0 disables)")
-		spanSpec = flag.String("span-trace", "", "sample request spans into this sink: jsonl:PATH[@N], ring:N[@M], or discard[@N] (ring spans are served at /spans)")
+		spanSpec = flag.String("obs-trace", "", "request-span sink: jsonl:PATH, ring:N, or discard (optional @N sampling; ring spans are served at /spans)")
 	)
 	flag.Parse()
 
@@ -69,11 +69,11 @@ func main() {
 		TopK:   *topK,
 	}
 	if *spanSpec != "" {
-		sink, ring, sample, err := obs.OpenSpanSink(*spanSpec)
+		sink, ring, sample, err := obs.Open[obs.Span](*spanSpec)
 		if err != nil {
 			fail(err)
 		}
-		tel.Spans = obs.NewSpanTracer(sink, sample)
+		tel.Spans = obs.NewSpanTracer(obs.SpanSinkOf(sink), sample)
 		tel.SpanRing = ring
 		defer tel.Spans.Close()
 		fmt.Printf("rlcached: span tracing to %s (1 in %d requests)\n", *spanSpec, sample)

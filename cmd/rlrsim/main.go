@@ -55,27 +55,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *traceSpec != "" || *obsAddr != "" {
-		obs.Enable()
-	}
-	var ring *obs.RingSink
-	if *traceSpec != "" {
-		sink, sample, err := obs.OpenSink(*traceSpec)
-		if err != nil {
-			fail(err)
-		}
-		defer sink.Close()
-		ring, _ = sink.(*obs.RingSink)
-		obs.SetGlobalHook(obs.NewSinkHook(sink, sample))
-	}
-	bound, obsShutdown, err := obs.Serve(*obsAddr, ring)
+	stopObs, err := obs.StartCLI(*traceSpec, *obsAddr, false)
 	if err != nil {
 		fail(err)
 	}
-	defer obsShutdown()
-	if bound != "" {
-		fmt.Fprintf(os.Stderr, "[observability endpoint: http://%s]\n", bound)
-	}
+	defer stopObs()
 	stopCPU, err := profiling.StartCPU(*cpuProf)
 	if err != nil {
 		fail(err)

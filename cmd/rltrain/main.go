@@ -11,7 +11,7 @@
 //
 // Long runs can also be observed while in flight: -manifest streams
 // per-epoch telemetry (loss, mean reward, hit rate, weight norm) plus
-// checkpoint save/resume events as JSONL, -trace streams per-access cache
+// checkpoint save/resume events as JSONL, -obs-trace streams per-access cache
 // events to a pluggable sink, -obs-addr serves live metrics/expvar/pprof
 // over HTTP, and a rate-limited one-line progress log keeps headless
 // terminals informed.
@@ -125,29 +125,13 @@ func main() {
 		fail(errors.New("-resume requires -checkpoint"))
 	}
 
-	// Observability: enable metrics before any simulator is built, attach
-	// the trace sink as the global hook, and bring up the HTTP endpoint.
-	if *manifestP != "" || *traceSpec != "" || *obsAddr != "" {
-		obs.Enable()
-	}
-	var ring *obs.RingSink
-	if *traceSpec != "" {
-		sink, sample, err := obs.OpenSink(*traceSpec)
-		if err != nil {
-			fail(err)
-		}
-		defer sink.Close()
-		ring, _ = sink.(*obs.RingSink)
-		obs.SetGlobalHook(obs.NewSinkHook(sink, sample))
-	}
-	bound, obsShutdown, err := obs.Serve(*obsAddr, ring)
+	// Observability: metrics (also for the manifest's telemetry), the
+	// event trace and the live endpoint, before any simulator is built.
+	stopObs, err := obs.StartCLI(*traceSpec, *obsAddr, *manifestP != "")
 	if err != nil {
 		fail(err)
 	}
-	defer obsShutdown()
-	if bound != "" {
-		slog.Info("observability endpoint up", "addr", "http://"+bound)
-	}
+	defer stopObs()
 	manifest, err := obs.OpenManifest(*manifestP)
 	if err != nil {
 		fail(err)

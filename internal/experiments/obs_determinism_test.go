@@ -27,7 +27,7 @@ func TestObservabilityDeterminism(t *testing.T) {
 		}
 
 		path := filepath.Join(t.TempDir(), "events.jsonl")
-		sink, sample, err := obs.OpenSink("jsonl:" + path)
+		sink, _, sample, err := obs.Open[obs.CacheEvent]("jsonl:" + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestObservabilityDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		evs, err := obs.ReadEvents(f)
+		evs, err := obs.ReadJSONL[obs.CacheEvent](f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: trace undecodable: %v", id, err)

@@ -23,35 +23,48 @@ const (
 var eventKindNames = [numEventKinds]string{"hit", "miss", "fill", "evict", "bypass", "decision"}
 
 // String returns the wire name.
-func (k EventKind) String() string {
-	if int(k) < len(eventKindNames) {
-		return eventKindNames[k]
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
+func (k EventKind) String() string { return enumString(k, eventKindNames[:], "kind") }
 
 // MarshalJSON encodes the kind as its string name so JSONL traces are
 // self-describing.
 func (k EventKind) MarshalJSON() ([]byte, error) {
-	if int(k) >= len(eventKindNames) {
-		return nil, fmt.Errorf("obs: unknown event kind %d", uint8(k))
-	}
-	return []byte(`"` + eventKindNames[k] + `"`), nil
+	return marshalEnum(k, eventKindNames[:], "event kind")
 }
 
 // UnmarshalJSON decodes a kind name written by MarshalJSON.
 func (k *EventKind) UnmarshalJSON(b []byte) error {
+	return unmarshalEnum(k, eventKindNames[:], b, "event kind")
+}
+
+// enumString returns e's wire name, or prefix(e) outside the name table.
+func enumString[E ~uint8](e E, names []string, prefix string) string {
+	if int(e) < len(names) {
+		return names[e]
+	}
+	return fmt.Sprintf("%s(%d)", prefix, uint8(e))
+}
+
+// marshalEnum encodes e as its wire name, a JSON string.
+func marshalEnum[E ~uint8](e E, names []string, what string) ([]byte, error) {
+	if int(e) >= len(names) {
+		return nil, fmt.Errorf("obs: unknown %s %d", what, uint8(e))
+	}
+	return []byte(`"` + names[e] + `"`), nil
+}
+
+// unmarshalEnum decodes a wire name written by marshalEnum into *e.
+func unmarshalEnum[E ~uint8](e *E, names []string, b []byte, what string) error {
 	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
-		return fmt.Errorf("obs: event kind must be a JSON string, got %s", b)
+		return fmt.Errorf("obs: %s must be a JSON string, got %s", what, b)
 	}
 	name := string(b[1 : len(b)-1])
-	for i, n := range eventKindNames {
+	for i, n := range names {
 		if n == name {
-			*k = EventKind(i)
+			*e = E(i)
 			return nil
 		}
 	}
-	return fmt.Errorf("obs: unknown event kind %q", name)
+	return fmt.Errorf("obs: unknown %s %q", what, name)
 }
 
 // CacheEvent is one structured record on the cache-event stream. Victim*
@@ -82,7 +95,7 @@ type CacheEvent struct {
 
 // Hook observes cache events. Implementations must treat e as borrowed:
 // the emitter reuses the event buffer, so a hook that retains the record
-// must copy it (RingSink and JSONLSink both do).
+// must copy it (Ring and JSONL both do).
 type Hook interface {
 	OnCacheEvent(e *CacheEvent)
 }

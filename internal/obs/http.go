@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -31,7 +30,7 @@ const shutdownGrace = 2 * time.Second
 //	/events      last events of the ring sink as JSONL (only when ring != nil)
 //
 // Serving uses its own goroutine; the run itself is never blocked.
-func Serve(addr string, ring *RingSink) (bound string, shutdown func(), err error) {
+func Serve(addr string, ring *Ring[CacheEvent]) (bound string, shutdown func(), err error) {
 	if addr == "" {
 		return "", func() {}, nil
 	}
@@ -54,15 +53,7 @@ func Serve(addr string, ring *RingSink) (bound string, shutdown func(), err erro
 	mux.Handle("/debug/vars", expvar.Handler())
 	profiling.AttachPprof(mux)
 	if ring != nil {
-		mux.HandleFunc("/events", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			enc := json.NewEncoder(w)
-			for _, e := range ring.Snapshot() {
-				if err := enc.Encode(&e); err != nil {
-					return
-				}
-			}
-		})
+		mux.Handle("/events", ring)
 	}
 
 	return serveOn(addr, mux)

@@ -16,7 +16,7 @@ import (
 // sink's recent-events stream.
 func TestServeEndpoints(t *testing.T) {
 	Default().Counter("http_test_counter").Inc()
-	ring := NewRingSink(4)
+	ring := NewRing[CacheEvent](4)
 	ring.Emit(&CacheEvent{Kind: EvHit, Seq: 42, Addr: 64})
 
 	bound, shutdown, err := Serve("127.0.0.1:0", ring)
@@ -57,7 +57,7 @@ func TestServeEndpoints(t *testing.T) {
 	} else if _, ok := vars["obs"]; !ok {
 		t.Error("/debug/vars does not publish the obs registry")
 	}
-	evs, err := ReadEvents(strings.NewReader(get("/events")))
+	evs, err := ReadJSONL[CacheEvent](strings.NewReader(get("/events")))
 	if err != nil {
 		t.Fatalf("/events: %v", err)
 	}

@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 )
 
@@ -55,26 +52,22 @@ type ManifestRecord struct {
 	Err string `json:"error,omitempty"`
 }
 
-// Manifest appends ManifestRecord lines to a writer. A nil *Manifest is a
-// valid no-op writer, so callers wire telemetry unconditionally and only
-// the flag decides whether anything lands on disk. Write stamps the wall
-// clock when the record carries none.
+// Manifest appends ManifestRecord lines to a writer: a JSONL sink that
+// stamps the wall clock on a record that carries none and flushes every
+// line, so a crashed or killed run leaves a readable manifest up to its
+// last event. A nil *Manifest is a valid no-op writer, so callers wire
+// telemetry unconditionally and only the flag decides whether anything
+// lands on disk.
 type Manifest struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	c   io.Closer
+	w   *JSONL[ManifestRecord]
 	now func() time.Time // test override
 }
 
 // NewManifest wraps w. If w is also an io.Closer, Close closes it.
 func NewManifest(w io.Writer) *Manifest {
-	bw := bufio.NewWriter(w)
-	m := &Manifest{bw: bw, enc: json.NewEncoder(bw), now: time.Now}
-	if c, ok := w.(io.Closer); ok {
-		m.c = c
-	}
-	return m
+	j := NewJSONL[ManifestRecord](w)
+	j.flushEach = true
+	return &Manifest{w: j, now: time.Now}
 }
 
 // OpenManifest creates (truncates) the manifest file at path. An empty path
@@ -90,21 +83,15 @@ func OpenManifest(path string) (*Manifest, error) {
 	return NewManifest(f), nil
 }
 
-// Write appends one record, flushing the line immediately so a crashed or
-// killed run leaves a readable manifest up to its last event.
+// Write appends one record.
 func (m *Manifest) Write(rec ManifestRecord) error {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if rec.TimeUnixMS == 0 {
 		rec.TimeUnixMS = m.now().UnixMilli()
 	}
-	if err := m.enc.Encode(&rec); err != nil {
-		return err
-	}
-	return m.bw.Flush()
+	return m.w.Emit(&rec)
 }
 
 // Close flushes and closes the underlying file.
@@ -112,30 +99,5 @@ func (m *Manifest) Close() error {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	err := m.bw.Flush()
-	if m.c != nil {
-		if cerr := m.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// ReadManifest decodes a JSONL run manifest. It is strict: a malformed line
-// fails with its record index, which is exactly what the obs-smoke CI check
-// wants.
-func ReadManifest(r io.Reader) ([]ManifestRecord, error) {
-	var out []ManifestRecord
-	dec := json.NewDecoder(r)
-	for {
-		var rec ManifestRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("obs: manifest record %d: %w", len(out), err)
-		}
-		out = append(out, rec)
-	}
+	return m.w.Close()
 }

@@ -106,12 +106,7 @@ func (h *Histogram) Buckets() []BucketCount {
 	var out []BucketCount
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
-			var hi uint64
-			if i == 64 {
-				hi = ^uint64(0)
-			} else {
-				hi = 1<<uint(i) - 1
-			}
+			_, hi := pow2BucketRange(i)
 			out = append(out, BucketCount{UpperBound: hi, Count: n})
 		}
 	}
@@ -151,14 +146,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return resolve(r, r.counters, name)
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -166,14 +154,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return resolve(r, r.gauges, name)
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -181,14 +162,20 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	return resolve(r, r.hists, name)
+}
+
+// resolve returns the metric named name in one of r's maps, creating it on
+// first use.
+func resolve[M any](r *Registry, metrics map[string]*M, name string) *M {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
+	m, ok := metrics[name]
 	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+		m = new(M)
+		metrics[name] = m
 	}
-	return h
+	return m
 }
 
 // snapshot returns all metric names with rendered values, sorted by name.

@@ -21,9 +21,12 @@
 //     simulators pick up, so deeply nested experiment code streams events
 //     without any plumbing changes.
 //
-// Everything emitted is structured: cache events and run manifests are
-// JSONL (one self-describing record per line), and the /metrics endpoint
-// is a sorted plain-text dump. See README.md "Observability".
+// Every record stream — cache events, request spans, run manifests —
+// travels through one generic set of parts: Sink[T] with its JSONL, Ring
+// and Discard implementations, one spec parser (Open, the -obs-trace
+// grammar of every CLI) and one reader (ReadJSONL). StartCLI wires a
+// command's flags. The /metrics endpoint is a sorted plain-text dump.
+// See README.md "Observability".
 package obs
 
 import (
@@ -65,26 +68,19 @@ func Metrics() *Registry {
 }
 
 // globalHook holds the process-wide cache-event hook picked up by
-// simulators at construction time.
-var globalHook atomic.Pointer[hookBox]
+// simulators at construction time, boxed so that an atomic.Value can hold
+// a nil Hook.
+var globalHook atomic.Value // hookBox
 
-// hookBox wraps the interface so an atomic.Pointer can hold it.
+// hookBox wraps the interface so every Store has one concrete type.
 type hookBox struct{ h Hook }
 
 // SetGlobalHook installs (or, with nil, removes) the hook that newly
 // constructed simulators attach. Existing simulators are unaffected.
-func SetGlobalHook(h Hook) {
-	if h == nil {
-		globalHook.Store(nil)
-		return
-	}
-	globalHook.Store(&hookBox{h: h})
-}
+func SetGlobalHook(h Hook) { globalHook.Store(hookBox{h}) }
 
 // GlobalHook returns the installed global hook, or nil.
 func GlobalHook() Hook {
-	if b := globalHook.Load(); b != nil {
-		return b.h
-	}
-	return nil
+	b, _ := globalHook.Load().(hookBox)
+	return b.h
 }

@@ -2,9 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -33,7 +36,7 @@ func fullEvent() CacheEvent {
 }
 
 // TestCacheEventRoundTrip is the satellite requirement: encode a batch of
-// events through the JSONL sink, decode with ReadEvents, deep-equal.
+// events through the JSONL sink, decode with ReadJSONL, deep-equal.
 func TestCacheEventRoundTrip(t *testing.T) {
 	events := []CacheEvent{
 		fullEvent(),
@@ -43,7 +46,7 @@ func TestCacheEventRoundTrip(t *testing.T) {
 		{Kind: EvDecision, Seq: 4, Addr: 256, Set: 6, Way: 0, Policy: "rlr", VictimBlock: 9},
 	}
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	sink := NewJSONL[CacheEvent](&buf)
 	for i := range events {
 		if err := sink.Emit(&events[i]); err != nil {
 			t.Fatal(err)
@@ -52,7 +55,7 @@ func TestCacheEventRoundTrip(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadEvents(&buf)
+	got, err := ReadJSONL[CacheEvent](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(&buf)
+	got, err := ReadJSONL[ManifestRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestManifestStampsTime(t *testing.T) {
 	if err := m.Write(ManifestRecord{Kind: RecRunEnd}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadManifest(&buf)
+	recs, err := ReadJSONL[ManifestRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestNilManifest(t *testing.T) {
 
 func TestReadManifestStrict(t *testing.T) {
 	in := strings.NewReader(`{"kind":"run_start"}` + "\n" + `{"kind":` + "\n")
-	recs, err := ReadManifest(in)
+	recs, err := ReadJSONL[ManifestRecord](in)
 	if err == nil {
 		t.Fatal("malformed line must fail")
 	}
@@ -175,20 +178,32 @@ func TestReadManifestStrict(t *testing.T) {
 
 func TestOpenSinkSpecs(t *testing.T) {
 	dir := t.TempDir()
+	kindOf := func(s Sink[CacheEvent]) string {
+		switch s.(type) {
+		case Discard[CacheEvent]:
+			return "discard"
+		case *Ring[CacheEvent]:
+			return "ring"
+		case *JSONL[CacheEvent]:
+			return "jsonl"
+		}
+		return fmt.Sprintf("%T", s)
+	}
 	cases := []struct {
 		spec   string
 		sample int
 		kind   string
 	}{
-		{"discard", 1, "obs.DiscardSink"},
-		{"discard@100", 100, "obs.DiscardSink"},
-		{"ring:16", 1, "*obs.RingSink"},
-		{"jsonl:" + filepath.Join(dir, "a.jsonl"), 1, "*obs.JSONLSink"},
-		{filepath.Join(dir, "b.jsonl"), 1, "*obs.JSONLSink"},
-		{filepath.Join(dir, "c.jsonl") + "@7", 7, "*obs.JSONLSink"},
+		{"discard", 1, "discard"},
+		{"discard@100", 100, "discard"},
+		{"ring:16", 1, "ring"},
+		{"ring:16@3", 3, "ring"},
+		{"jsonl:" + filepath.Join(dir, "a.jsonl"), 1, "jsonl"},
+		{filepath.Join(dir, "b.jsonl"), 1, "jsonl"},
+		{filepath.Join(dir, "c.jsonl") + "@7", 7, "jsonl"},
 	}
 	for _, c := range cases {
-		sink, sample, err := OpenSink(c.spec)
+		sink, ring, sample, err := Open[CacheEvent](c.spec)
 		if err != nil {
 			t.Errorf("%s: %v", c.spec, err)
 			continue
@@ -196,39 +211,63 @@ func TestOpenSinkSpecs(t *testing.T) {
 		if sample != c.sample {
 			t.Errorf("%s: sample = %d, want %d", c.spec, sample, c.sample)
 		}
-		if got := reflect.TypeOf(sink).String(); got != c.kind {
-			t.Errorf("%s: sink type %s, want %s", c.spec, got, c.kind)
+		if got := kindOf(sink); got != c.kind {
+			t.Errorf("%s: sink kind %s, want %s", c.spec, got, c.kind)
+		}
+		if (ring != nil) != (c.kind == "ring") || (ring != nil && Sink[CacheEvent](ring) != sink) {
+			t.Errorf("%s: ring = %v, want the sink itself exactly for ring specs", c.spec, ring)
 		}
 		sink.Close()
 	}
-	for _, bad := range []string{"", "ring:zero", "ring:0", "discard@0", "discard@x"} {
-		if _, _, err := OpenSink(bad); err == nil {
+	for _, bad := range []string{"", "jsonl:", "ring:zero", "ring:0", "discard@0", "discard@x"} {
+		if _, _, _, err := Open[CacheEvent](bad); err == nil {
 			t.Errorf("spec %q must fail", bad)
 		}
 	}
 }
 
+// TestRingSink runs one table over both record types that travel through
+// rings: the snapshot holds the last min(size, emitted) records, oldest
+// first.
 func TestRingSink(t *testing.T) {
-	r := NewRingSink(3)
-	for i := 1; i <= 5; i++ {
-		e := CacheEvent{Seq: uint64(i)}
-		if err := r.Emit(&e); err != nil {
-			t.Fatal(err)
+	t.Run("events", func(t *testing.T) {
+		checkRing(t, func(i uint64) CacheEvent { return CacheEvent{Seq: i} }, func(e CacheEvent) uint64 { return e.Seq })
+	})
+	t.Run("spans", func(t *testing.T) {
+		checkRing(t, func(i uint64) Span { return Span{Seq: i} }, func(s Span) uint64 { return s.Seq })
+	})
+}
+
+// checkRing emits records 1..emit, built by mk, into rings of several
+// sizes and checks each snapshot's length and order through seq.
+func checkRing[T any](t *testing.T, mk func(uint64) T, seq func(T) uint64) {
+	for _, c := range []struct{ size, emit int }{{3, 0}, {3, 2}, {3, 3}, {3, 5}, {3, 7}, {1, 4}} {
+		r := NewRing[T](c.size)
+		for i := 1; i <= c.emit; i++ {
+			rec := mk(uint64(i))
+			if err := r.Emit(&rec); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if r.Total() != 5 {
-		t.Errorf("total = %d, want 5", r.Total())
-	}
-	snap := r.Snapshot()
-	if len(snap) != 3 || snap[0].Seq != 3 || snap[1].Seq != 4 || snap[2].Seq != 5 {
-		t.Errorf("snapshot = %+v, want seqs 3,4,5 oldest-first", snap)
+		snap := r.Snapshot()
+		kept := min(c.size, c.emit)
+		if len(snap) != kept {
+			t.Errorf("size %d, %d emitted: snapshot holds %d, want %d", c.size, c.emit, len(snap), kept)
+			continue
+		}
+		for j, rec := range snap {
+			if want := uint64(c.emit - kept + 1 + j); seq(rec) != want {
+				t.Errorf("size %d, %d emitted: snapshot[%d] is record %d, want %d", c.size, c.emit, j, seq(rec), want)
+			}
+		}
 	}
 }
 
-// countSink counts emissions (for the sampling test).
-type countSink struct{ n int }
+// countSink counts emissions (for the sampling tests); safe for
+// concurrent Emit.
+type countSink struct{ n atomic.Int64 }
 
-func (s *countSink) Emit(*CacheEvent) error { s.n++; return nil }
+func (s *countSink) Emit(*CacheEvent) error { s.n.Add(1); return nil }
 func (s *countSink) Close() error           { return nil }
 
 func TestSinkHookSampling(t *testing.T) {
@@ -238,13 +277,39 @@ func TestSinkHookSampling(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.OnCacheEvent(&e)
 	}
-	if s.n != 4 { // events 0, 3, 6, 9
-		t.Errorf("1-in-3 sampling forwarded %d of 10 events, want 4", s.n)
+	if n := s.n.Load(); n != 4 { // events 0, 3, 6, 9
+		t.Errorf("1-in-3 sampling forwarded %d of 10 events, want 4", n)
 	}
 	s2 := &countSink{}
 	NewSinkHook(s2, 0).OnCacheEvent(&e)
-	if s2.n != 1 {
-		t.Errorf("sample<=1 must forward every event, got %d", s2.n)
+	if n := s2.n.Load(); n != 1 {
+		t.Errorf("sample<=1 must forward every event, got %d", n)
+	}
+}
+
+// TestSinkHookSamplingConcurrent is the regression test for over-sampling
+// under concurrent emitters (parallel experiment sweeps): the stride must
+// forward exactly one event in N however the calls interleave. A hook that
+// reads its counter and increments it in two steps lets several
+// goroutines see the same on-stride value and forwards too many.
+func TestSinkHookSamplingConcurrent(t *testing.T) {
+	const goroutines, perG, every = 8, 100_000, 10
+	s := &countSink{}
+	h := NewSinkHook(s, every)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var e CacheEvent
+			for i := 0; i < perG; i++ {
+				h.OnCacheEvent(&e)
+			}
+		}()
+	}
+	wg.Wait()
+	if n, want := s.n.Load(), int64(goroutines*perG/every); n != want {
+		t.Errorf("%d goroutines x %d events at @%d forwarded %d, want %d", goroutines, perG, every, n, want)
 	}
 }
 
@@ -264,14 +329,14 @@ func FuzzCacheEventRoundTrip(f *testing.F) {
 			VictimBlock: vblock, VictimDirty: vdirty, VictimAge: vage,
 		}
 		var buf bytes.Buffer
-		sink := NewJSONLSink(&buf)
+		sink := NewJSONL[CacheEvent](&buf)
 		if err := sink.Emit(&e); err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadEvents(&buf)
+		got, err := ReadJSONL[CacheEvent](&buf)
 		if err != nil {
 			t.Fatalf("decode %q: %v", buf.String(), err)
 		}

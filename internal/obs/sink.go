@@ -5,48 +5,55 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
-// Sink consumes cache events. Sinks own their downstream resources; Close
-// flushes and releases them. Sinks must be safe for concurrent Emit calls
+// Sink consumes records of one type: cache events, request spans or run
+// manifest records. Sinks own their downstream resources; Close flushes
+// and releases them. Sinks must be safe for concurrent Emit calls
 // (parallel experiment sweeps trace from many simulator goroutines).
-type Sink interface {
-	Emit(e *CacheEvent) error
+type Sink[T any] interface {
+	Emit(rec *T) error
 	Close() error
 }
 
-// JSONLSink encodes every event as one JSON line. Writes are buffered and
+// JSONL encodes every record as one JSON line. Writes are buffered and
 // mutex-serialized.
-type JSONLSink struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	c   io.Closer // nil when the writer is not ours to close
+type JSONL[T any] struct {
+	mu        sync.Mutex
+	bw        *bufio.Writer
+	enc       *json.Encoder
+	c         io.Closer // nil when the writer is not ours to close
+	flushEach bool      // flush after every record (run manifests)
 }
 
-// NewJSONLSink wraps w. If w is also an io.Closer, Close closes it.
-func NewJSONLSink(w io.Writer) *JSONLSink {
+// NewJSONL wraps w. If w is also an io.Closer, Close closes it.
+func NewJSONL[T any](w io.Writer) *JSONL[T] {
 	bw := bufio.NewWriter(w)
-	s := &JSONLSink{bw: bw, enc: json.NewEncoder(bw)}
+	s := &JSONL[T]{bw: bw, enc: json.NewEncoder(bw)}
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	}
 	return s
 }
 
-// Emit writes one event line.
-func (s *JSONLSink) Emit(e *CacheEvent) error {
+// Emit writes one record line.
+func (s *JSONL[T]) Emit(rec *T) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.enc.Encode(e)
+	if err := s.enc.Encode(rec); err != nil || !s.flushEach {
+		return err
+	}
+	return s.bw.Flush()
 }
 
 // Close flushes and closes the underlying writer.
-func (s *JSONLSink) Close() error {
+func (s *JSONL[T]) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.bw.Flush()
@@ -58,194 +65,184 @@ func (s *JSONLSink) Close() error {
 	return err
 }
 
-// RingSink keeps the most recent N events in memory — a sampling buffer for
-// live introspection (/events) that never touches disk and caps memory no
-// matter how long the run is.
-type RingSink struct {
-	mu    sync.Mutex
-	buf   []CacheEvent
-	next  int
-	total uint64
+// Ring keeps the most recent N records in memory — a sampling buffer for
+// live introspection (/events, /spans) that never touches disk and caps
+// memory no matter how long the run is. It serves its snapshot as JSONL
+// over HTTP.
+type Ring[T any] struct {
+	mu   sync.Mutex
+	buf  []T
+	next int
 }
 
-// NewRingSink holds the last n events (n >= 1).
-func NewRingSink(n int) *RingSink {
+// NewRing holds the last n records (n >= 1).
+func NewRing[T any](n int) *Ring[T] {
 	if n < 1 {
 		n = 1
 	}
-	return &RingSink{buf: make([]CacheEvent, 0, n)}
+	return &Ring[T]{buf: make([]T, 0, n)}
 }
 
-// Emit copies e into the ring.
-func (s *RingSink) Emit(e *CacheEvent) error {
-	s.mu.Lock()
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, *e)
+// Emit copies rec into the ring.
+func (r *Ring[T]) Emit(rec *T) error {
+	r.mu.Lock()
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, *rec)
 	} else {
-		s.buf[s.next] = *e
-		s.next = (s.next + 1) % cap(s.buf)
+		r.buf[r.next] = *rec
+		r.next = (r.next + 1) % cap(r.buf)
 	}
-	s.total++
-	s.mu.Unlock()
+	r.mu.Unlock()
 	return nil
 }
 
-// Total returns the number of events ever emitted (not just retained).
-func (s *RingSink) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Snapshot returns the retained events, oldest first.
-func (s *RingSink) Snapshot() []CacheEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]CacheEvent, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
+// Snapshot returns the retained records, oldest first.
+func (r *Ring[T]) Snapshot() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	out = append(out, r.buf[:r.next]...)
 	return out
 }
 
 // Close is a no-op.
-func (*RingSink) Close() error { return nil }
+func (*Ring[T]) Close() error { return nil }
 
-// DiscardSink drops every event — for measuring tracing overhead and for
+// ServeHTTP writes the snapshot as JSONL, one record per line.
+func (r *Ring[T]) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	enc := json.NewEncoder(w)
+	for _, rec := range r.Snapshot() {
+		if err := enc.Encode(&rec); err != nil {
+			return
+		}
+	}
+}
+
+// Discard drops every record — for measuring tracing overhead and for
 // tests that only need the hook path exercised.
-type DiscardSink struct{}
+type Discard[T any] struct{}
 
-// Emit drops e.
-func (DiscardSink) Emit(*CacheEvent) error { return nil }
+// Emit drops rec.
+func (Discard[T]) Emit(*T) error { return nil }
 
 // Close is a no-op.
-func (DiscardSink) Close() error { return nil }
+func (Discard[T]) Close() error { return nil }
 
-// sinkHook adapts a Sink into a Hook with optional 1-in-N sampling. The
-// first Emit error is reported to stderr once; later errors are dropped so
-// a full disk cannot crash a multi-hour run.
-type sinkHook struct {
-	sink  Sink
-	every uint64
-	n     Counter
-	fail  sync.Once
-}
-
-// NewSinkHook wraps sink as a Hook. sample <= 1 forwards every event;
-// sample = N forwards one event in N (a cheap global stride, good enough
-// for rate estimation on multi-million-access runs).
-func NewSinkHook(sink Sink, sample int) Hook {
-	every := uint64(1)
-	if sample > 1 {
-		every = uint64(sample)
-	}
-	return &sinkHook{sink: sink, every: every}
-}
-
-// OnCacheEvent implements Hook.
-func (h *sinkHook) OnCacheEvent(e *CacheEvent) {
-	if h.every > 1 && (h.n.Value())%h.every != 0 {
-		h.n.Inc()
-		return
-	}
-	h.n.Inc()
-	if err := h.sink.Emit(e); err != nil {
-		h.fail.Do(func() {
-			fmt.Fprintf(os.Stderr, "obs: trace sink failed (further errors suppressed): %v\n", err)
-		})
-	}
-}
-
-// sinkKind is the parsed family of a sink spec.
-type sinkKind uint8
-
-const (
-	sinkJSONL sinkKind = iota
-	sinkRing
-	sinkDiscard
-)
-
-// sinkSpec is the parsed form of an -obs-trace / -span-trace flag value.
-type sinkSpec struct {
-	kind   sinkKind
-	path   string // sinkJSONL
-	ringN  int    // sinkRing
-	sample int
-}
-
-// parseSinkSpec parses the shared sink grammar:
+// Open builds a sink from a -obs-trace flag spec:
 //
-//	jsonl:PATH   one JSON line per record appended to PATH
+//	jsonl:PATH   one JSON line per record written to PATH
 //	ring:N       in-memory ring of the last N records
 //	discard      parse-and-drop (overhead measurement)
 //	PATH         shorthand for jsonl:PATH
 //
 // A "@N" suffix on any spec samples one record in N, e.g.
-// "jsonl:t.jsonl@100". Cache-event traces (OpenSink) and request spans
-// (OpenSpanSink) speak the same grammar.
-func parseSinkSpec(spec string) (sinkSpec, error) {
-	out := sinkSpec{sample: 1}
+// "jsonl:t.jsonl@100"; the returned sample factor is what NewSinkHook or
+// NewSpanTracer should be given. When the spec is a ring, ring is the
+// same sink, so the caller can serve it; otherwise ring is nil.
+func Open[T any](spec string) (sink Sink[T], ring *Ring[T], sample int, err error) {
+	sample = 1
 	if at := strings.LastIndex(spec, "@"); at >= 0 {
 		n, err := strconv.Atoi(spec[at+1:])
 		if err != nil || n < 1 {
-			return out, fmt.Errorf("obs: bad sample factor in trace spec %q", spec)
+			return nil, nil, 0, fmt.Errorf("obs: bad sample factor in sink spec %q", spec)
 		}
-		out.sample, spec = n, spec[:at]
+		sample, spec = n, spec[:at]
 	}
 	switch {
 	case spec == "discard":
-		out.kind = sinkDiscard
+		return Discard[T]{}, nil, sample, nil
 	case strings.HasPrefix(spec, "ring:"):
 		n, err := strconv.Atoi(spec[len("ring:"):])
 		if err != nil || n < 1 {
-			return out, fmt.Errorf("obs: bad ring size in trace spec %q", spec)
+			return nil, nil, 0, fmt.Errorf("obs: bad ring size in sink spec %q", spec)
 		}
-		out.kind, out.ringN = sinkRing, n
-	case strings.HasPrefix(spec, "jsonl:"):
-		spec = spec[len("jsonl:"):]
-		fallthrough
-	default:
-		if spec == "" {
-			return out, fmt.Errorf("obs: empty trace path")
-		}
-		out.kind, out.path = sinkJSONL, spec
+		ring = NewRing[T](n)
+		return ring, ring, sample, nil
 	}
-	return out, nil
-}
-
-// OpenSink builds a cache-event sink from an -obs-trace flag spec (see
-// parseSinkSpec for the grammar). The returned sample factor is what
-// NewSinkHook should be given.
-func OpenSink(spec string) (Sink, int, error) {
-	sp, err := parseSinkSpec(spec)
+	spec = strings.TrimPrefix(spec, "jsonl:")
+	if spec == "" {
+		return nil, nil, 0, fmt.Errorf("obs: empty sink path")
+	}
+	f, err := os.Create(spec)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, fmt.Errorf("obs: sink: %w", err)
 	}
-	switch sp.kind {
-	case sinkDiscard:
-		return DiscardSink{}, sp.sample, nil
-	case sinkRing:
-		return NewRingSink(sp.ringN), sp.sample, nil
-	default:
-		f, err := os.Create(sp.path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("obs: trace sink: %w", err)
-		}
-		return NewJSONLSink(f), sp.sample, nil
-	}
+	return NewJSONL[T](f), nil, sample, nil
 }
 
-// ReadEvents decodes a JSONL cache-event stream (the JSONLSink format),
-// for tests and offline analysis.
-func ReadEvents(r io.Reader) ([]CacheEvent, error) {
-	var out []CacheEvent
+// ReadJSONL decodes a JSONL record stream (the JSONL sink's format), for
+// tests, obstool and offline analysis. It is strict: a malformed line
+// fails with its record index.
+func ReadJSONL[T any](r io.Reader) ([]T, error) {
+	var out []T
 	dec := json.NewDecoder(r)
 	for {
-		var e CacheEvent
-		if err := dec.Decode(&e); err == io.EOF {
+		var rec T
+		if err := dec.Decode(&rec); err == io.EOF {
 			return out, nil
 		} else if err != nil {
-			return out, fmt.Errorf("obs: event %d: %w", len(out), err)
+			return out, fmt.Errorf("obs: record %d: %w", len(out), err)
 		}
-		out = append(out, e)
+		out = append(out, rec)
+	}
+}
+
+// sampler is the 1-in-N stride and the error policy shared by the event
+// hook and the span tracer. The stride is one atomic add, so concurrent
+// emitters forward exactly one call in every, starting with the first.
+// The first sink error is reported to stderr once; later errors are
+// dropped so a full disk cannot crash a multi-hour run or take the
+// server down.
+type sampler struct {
+	every uint64
+	n     atomic.Uint64
+	fail  sync.Once
+}
+
+// newSampler forwards every call for sample <= 1 and one call in sample
+// otherwise.
+func newSampler(sample int) sampler {
+	if sample > 1 {
+		return sampler{every: uint64(sample)}
+	}
+	return sampler{every: 1}
+}
+
+// take reports whether this call falls on the sampling stride.
+func (s *sampler) take() bool { return (s.n.Add(1)-1)%s.every == 0 }
+
+// report prints the first non-nil err, naming the stream. It inlines, so
+// an emit that succeeds costs no call.
+func (s *sampler) report(stream string, err error) {
+	if err != nil {
+		s.reportOnce(stream, err)
+	}
+}
+
+func (s *sampler) reportOnce(stream string, err error) {
+	s.fail.Do(func() {
+		fmt.Fprintf(os.Stderr, "obs: %s sink failed (further errors suppressed): %v\n", stream, err)
+	})
+}
+
+// sinkHook adapts an event sink into a Hook with optional 1-in-N sampling.
+type sinkHook struct {
+	sink Sink[CacheEvent]
+	sampler
+}
+
+// NewSinkHook wraps sink as a Hook. sample <= 1 forwards every event;
+// sample = N forwards one event in N (a cheap global stride, good enough
+// for rate estimation on multi-million-access runs).
+func NewSinkHook(sink Sink[CacheEvent], sample int) Hook {
+	return &sinkHook{sink: sink, sampler: newSampler(sample)}
+}
+
+// OnCacheEvent implements Hook.
+func (h *sinkHook) OnCacheEvent(e *CacheEvent) {
+	if h.take() {
+		h.report("trace", h.sink.Emit(e))
 	}
 }

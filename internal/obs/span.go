@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -22,34 +19,14 @@ const (
 var spanOpNames = [numSpanOps]string{"get", "put", "delete"}
 
 // String returns the wire name.
-func (o SpanOp) String() string {
-	if int(o) < len(spanOpNames) {
-		return spanOpNames[o]
-	}
-	return fmt.Sprintf("op(%d)", uint8(o))
-}
+func (o SpanOp) String() string { return enumString(o, spanOpNames[:], "op") }
 
 // MarshalJSON encodes the op as its string name.
-func (o SpanOp) MarshalJSON() ([]byte, error) {
-	if int(o) >= len(spanOpNames) {
-		return nil, fmt.Errorf("obs: unknown span op %d", uint8(o))
-	}
-	return []byte(`"` + spanOpNames[o] + `"`), nil
-}
+func (o SpanOp) MarshalJSON() ([]byte, error) { return marshalEnum(o, spanOpNames[:], "span op") }
 
 // UnmarshalJSON decodes an op name written by MarshalJSON.
 func (o *SpanOp) UnmarshalJSON(b []byte) error {
-	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
-		return fmt.Errorf("obs: span op must be a JSON string, got %s", b)
-	}
-	name := string(b[1 : len(b)-1])
-	for i, n := range spanOpNames {
-		if n == name {
-			*o = SpanOp(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("obs: unknown span op %q", name)
+	return unmarshalEnum(o, spanOpNames[:], b, "span op")
 }
 
 // SpanPhase indexes the timed phases inside a request span.
@@ -97,99 +74,22 @@ func (s *Span) addPhase(p SpanPhase, ns int64) {
 	}
 }
 
-// SpanSink consumes request spans, mirroring Sink for cache events. The
-// JSONL and discard sinks are shared between the two streams; the ring is
-// span-typed.
+// SpanSink consumes request spans: what a SpanTracer emits to. A generic
+// Sink[Span] (JSONL, ring, discard, from Open) becomes one through
+// SpanSinkOf.
 type SpanSink interface {
 	EmitSpan(s *Span) error
 	Close() error
 }
 
-// EmitSpan writes one span line, sharing the JSONL sink's writer with any
-// cache events it also carries.
-func (s *JSONLSink) EmitSpan(sp *Span) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.enc.Encode(sp)
-}
+// SpanSinkOf adapts a generic span sink to a SpanSink.
+func SpanSinkOf(s Sink[Span]) SpanSink { return spanSink{s} }
 
-// EmitSpan drops sp.
-func (DiscardSink) EmitSpan(*Span) error { return nil }
+// spanSink is the SpanSinkOf adapter.
+type spanSink struct{ Sink[Span] }
 
-// RingSpanSink keeps the most recent N spans in memory for live
-// introspection (/spans), the span analogue of RingSink.
-type RingSpanSink struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	total uint64
-}
-
-// NewRingSpanSink holds the last n spans (n >= 1).
-func NewRingSpanSink(n int) *RingSpanSink {
-	if n < 1 {
-		n = 1
-	}
-	return &RingSpanSink{buf: make([]Span, 0, n)}
-}
-
-// EmitSpan copies sp into the ring.
-func (s *RingSpanSink) EmitSpan(sp *Span) error {
-	s.mu.Lock()
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, *sp)
-	} else {
-		s.buf[s.next] = *sp
-		s.next = (s.next + 1) % cap(s.buf)
-	}
-	s.total++
-	s.mu.Unlock()
-	return nil
-}
-
-// Total returns the number of spans ever emitted (not just retained).
-func (s *RingSpanSink) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Snapshot returns the retained spans, oldest first.
-func (s *RingSpanSink) Snapshot() []Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Span, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
-	return out
-}
-
-// Close is a no-op.
-func (*RingSpanSink) Close() error { return nil }
-
-// OpenSpanSink builds a span sink from the same spec grammar as OpenSink
-// (jsonl:PATH, ring:N, discard, bare PATH, any with an @N sampling
-// suffix). When the spec is a ring, the concrete *RingSpanSink is also
-// returned so callers can serve its snapshot (/spans).
-func OpenSpanSink(spec string) (sink SpanSink, ring *RingSpanSink, sample int, err error) {
-	sp, err := parseSinkSpec(spec)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	switch sp.kind {
-	case sinkDiscard:
-		return DiscardSink{}, nil, sp.sample, nil
-	case sinkRing:
-		ring = NewRingSpanSink(sp.ringN)
-		return ring, ring, sp.sample, nil
-	default:
-		f, err := os.Create(sp.path)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("obs: span sink: %w", err)
-		}
-		return NewJSONLSink(f), nil, sp.sample, nil
-	}
-}
+// EmitSpan forwards sp to the wrapped sink.
+func (s spanSink) EmitSpan(sp *Span) error { return s.Emit(sp) }
 
 // SpanTracer samples and emits request spans. Start returns nil for
 // unsampled requests (a counter stride, like the event sink's @N), and
@@ -197,21 +97,15 @@ func OpenSpanSink(spec string) (sink SpanSink, ring *RingSpanSink, sample int, e
 // branch-free of telemetry decisions: it just calls through. A nil
 // *SpanTracer samples nothing — the disabled mode.
 type SpanTracer struct {
-	sink  SpanSink
-	every uint64
-	n     atomic.Uint64 // requests seen (sampling stride)
-	seq   atomic.Uint64 // spans emitted
-	fail  sync.Once
+	sink SpanSink
+	seq  atomic.Uint64 // spans emitted
+	sampler
 }
 
 // NewSpanTracer wraps sink; sample <= 1 traces every request, sample = N
 // traces one request in N.
 func NewSpanTracer(sink SpanSink, sample int) *SpanTracer {
-	every := uint64(1)
-	if sample > 1 {
-		every = uint64(sample)
-	}
-	return &SpanTracer{sink: sink, every: every}
+	return &SpanTracer{sink: sink, sampler: newSampler(sample)}
 }
 
 // Close closes the underlying sink (flushing a JSONL file). Nil-safe.
@@ -229,7 +123,7 @@ func (t *SpanTracer) Start(op SpanOp) *ActiveSpan {
 	if t == nil {
 		return nil
 	}
-	if (t.n.Add(1)-1)%t.every != 0 {
+	if !t.take() {
 		return nil
 	}
 	a := &ActiveSpan{t: t, start: time.Now()}
@@ -293,9 +187,5 @@ func (a *ActiveSpan) Finish(outcome string, hit bool) {
 	a.span.Outcome = outcome
 	a.span.Hit = hit
 	a.span.Seq = a.t.seq.Add(1) - 1
-	if err := a.t.sink.EmitSpan(&a.span); err != nil {
-		a.t.fail.Do(func() {
-			fmt.Fprintf(os.Stderr, "obs: span sink failed (further errors suppressed): %v\n", err)
-		})
-	}
+	a.t.report("span", a.t.sink.EmitSpan(&a.span))
 }

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,8 +31,8 @@ func TestNilSpanTracerAndSpan(t *testing.T) {
 // TestSpanSamplingStride: sample=N emits exactly ceil(requests/N) spans,
 // starting with the first request.
 func TestSpanSamplingStride(t *testing.T) {
-	ring := NewRingSpanSink(100)
-	tr := NewSpanTracer(ring, 10)
+	ring := NewRing[Span](100)
+	tr := NewSpanTracer(SpanSinkOf(ring), 10)
 	sampled := 0
 	for i := 0; i < 95; i++ {
 		if sp := tr.Start(SpanGet); sp != nil {
@@ -46,8 +43,8 @@ func TestSpanSamplingStride(t *testing.T) {
 	if sampled != 10 {
 		t.Errorf("sampled %d of 95 at @10, want 10", sampled)
 	}
-	if ring.Total() != 10 || tr.Sampled() != 10 {
-		t.Errorf("ring total %d, tracer sampled %d, want 10", ring.Total(), tr.Sampled())
+	if n := len(ring.Snapshot()); n != 10 || tr.Sampled() != 10 {
+		t.Errorf("ring holds %d, tracer sampled %d, want 10", n, tr.Sampled())
 	}
 	// Sequence numbers are dense.
 	for i, s := range ring.Snapshot() {
@@ -60,8 +57,8 @@ func TestSpanSamplingStride(t *testing.T) {
 // TestSpanPhases: phase times accumulate where charged and never exceed
 // the total.
 func TestSpanPhases(t *testing.T) {
-	ring := NewRingSpanSink(4)
-	tr := NewSpanTracer(ring, 1)
+	ring := NewRing[Span](4)
+	tr := NewSpanTracer(SpanSinkOf(ring), 1)
 	sp := tr.Start(SpanPut)
 	if sp == nil {
 		t.Fatal("sample=1 must always sample")
@@ -99,16 +96,16 @@ func TestSpanPhases(t *testing.T) {
 	}
 }
 
-// TestOpenSpanSinkSpecs: the span sink speaks the same spec grammar as the
-// event sink, and the JSONL path round-trips spans through readSpans.
+// TestOpenSpanSinkSpecs: spans speak the event sinks' spec grammar through
+// Open[Span], and the JSONL path round-trips spans through ReadJSONL.
 func TestOpenSpanSinkSpecs(t *testing.T) {
-	if _, _, _, err := OpenSpanSink("ring:0"); err == nil {
+	if _, _, _, err := Open[Span]("ring:0"); err == nil {
 		t.Error("ring:0 must be rejected")
 	}
-	if _, _, _, err := OpenSpanSink("jsonl:x@bad"); err == nil {
+	if _, _, _, err := Open[Span]("jsonl:x@bad"); err == nil {
 		t.Error("bad sample factor must be rejected")
 	}
-	sink, ring, sample, err := OpenSpanSink("ring:8@25")
+	sink, ring, sample, err := Open[Span]("ring:8@25")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +114,18 @@ func TestOpenSpanSinkSpecs(t *testing.T) {
 	}
 	sink.Close()
 
-	sink, ring, sample, err = OpenSpanSink("discard@100")
+	sink, ring, sample, err = Open[Span]("discard@100")
 	if err != nil || ring != nil || sample != 100 {
 		t.Fatalf("discard spec: %v ring=%v sample=%d", err, ring, sample)
 	}
 	sink.Close()
 
 	path := filepath.Join(t.TempDir(), "spans.jsonl")
-	sink, ring, sample, err = OpenSpanSink("jsonl:" + path)
+	sink, ring, sample, err = Open[Span]("jsonl:" + path)
 	if err != nil || ring != nil || sample != 1 {
 		t.Fatalf("jsonl spec: %v ring=%v sample=%d", err, ring, sample)
 	}
-	tr := NewSpanTracer(sink, 1)
+	tr := NewSpanTracer(SpanSinkOf(sink), 1)
 	for i := 0; i < 3; i++ {
 		sp := tr.Start(SpanDelete)
 		sp.SetKey("k")
@@ -142,7 +139,7 @@ func TestOpenSpanSinkSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spans, err := readSpans(f)
+	spans, err := ReadJSONL[Span](f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,20 +150,5 @@ func TestOpenSpanSinkSpecs(t *testing.T) {
 		if s.Op != SpanDelete || s.Key != "k" || s.Seq != uint64(i) || s.Outcome != "deleted" {
 			t.Errorf("span %d = %+v", i, s)
 		}
-	}
-}
-
-// readSpans decodes a JSONL span stream (the JSONLSink format).
-func readSpans(r io.Reader) ([]Span, error) {
-	var out []Span
-	dec := json.NewDecoder(r)
-	for {
-		var s Span
-		if err := dec.Decode(&s); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("span %d: %w", len(out), err)
-		}
-		out = append(out, s)
 	}
 }

@@ -51,7 +51,7 @@ func TestTracedDecisionsIdenticalUnderBatchedTraining(t *testing.T) {
 		tr.Agent().scalarTrain = scalarStep
 		tr.Run()
 		agent := tr.Finish()
-		ring := obs.NewRingSink(len(accesses))
+		ring := obs.NewRing[obs.CacheEvent](len(accesses))
 		traced := policy.NewTraced(agent, obs.NewSinkHook(ring, 1))
 		sim := cachesim.New(cc, 1, traced)
 		agent.SetSim(sim)

@@ -91,7 +91,7 @@ type TelemetryConfig struct {
 	Spans *obs.SpanTracer
 	// SpanRing, when the span sink is a ring, lets the server serve its
 	// snapshot at /spans.
-	SpanRing *obs.RingSpanSink
+	SpanRing *obs.Ring[obs.Span]
 	// Clock overrides the window clock (deterministic tests).
 	Clock obs.Clock
 }
@@ -390,15 +390,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, s.TopKeys())
 	})
 	if ring := s.cfg.Telemetry.SpanRing; ring != nil {
-		mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			enc := json.NewEncoder(w)
-			for _, sp := range ring.Snapshot() {
-				if err := enc.Encode(&sp); err != nil {
-					return
-				}
-			}
-		})
+		mux.Handle("/spans", ring)
 	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")

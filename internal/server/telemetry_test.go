@@ -36,16 +36,16 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 // fullTelemetry returns a TelemetryConfig with every piece on, spans
 // sampled at the given stride into a ring.
-func fullTelemetry(t *testing.T, sampleSpec string) (TelemetryConfig, *obs.RingSpanSink) {
+func fullTelemetry(t *testing.T, sampleSpec string) (TelemetryConfig, *obs.Ring[obs.Span]) {
 	t.Helper()
-	sink, ring, sample, err := obs.OpenSpanSink(sampleSpec)
+	sink, ring, sample, err := obs.Open[obs.Span](sampleSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return TelemetryConfig{
 		Window:   time.Minute,
 		TopK:     8,
-		Spans:    obs.NewSpanTracer(sink, sample),
+		Spans:    obs.NewSpanTracer(obs.SpanSinkOf(sink), sample),
 		SpanRing: ring,
 	}, ring
 }
@@ -101,7 +101,7 @@ func TestTelemetryByteIdentity(t *testing.T) {
 			t.Fatalf("eviction %d diverged: off=%q on=%q", i, evPlain[i], evInstr[i])
 		}
 	}
-	if ring.Total() == 0 {
+	if len(ring.Snapshot()) == 0 {
 		t.Error("span ring captured nothing despite @1 sampling")
 	}
 }
@@ -414,13 +414,13 @@ func TestSpanOverheadBound(t *testing.T) {
 	run := func(instrumented bool) float64 {
 		var tel TelemetryConfig
 		if instrumented {
-			sink, ring, sample, err := obs.OpenSpanSink("ring:4096@100")
+			sink, ring, sample, err := obs.Open[obs.Span]("ring:4096@100")
 			if err != nil {
 				t.Fatal(err)
 			}
 			tel = TelemetryConfig{
 				Window: time.Minute, TopK: 16,
-				Spans: obs.NewSpanTracer(sink, sample), SpanRing: ring,
+				Spans: obs.NewSpanTracer(obs.SpanSinkOf(sink), sample), SpanRing: ring,
 			}
 		}
 		srv, err := New(Config{

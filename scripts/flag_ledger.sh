@@ -96,12 +96,6 @@ check:-seeds README "Correctness harness": more seeds per cell
 check:-v README "Correctness harness": print every cell as it runs
 check:-replay README "Correctness harness": re-runs the counterexample that a divergence prints
 experiments:-list README "Install & quickstart"
-experiments:-run README "Install & quickstart"
-experiments:-scale README "Install & quickstart"
-experiments:-jobs README "Install & quickstart" and "Parallel experiment engine"
-experiments:-keep-going README "Parallel experiment engine": fault-tolerant long runs
-experiments:-timeout README "Parallel experiment engine": fault-tolerant long runs
-experiments:-csv the tables in CSV (Table.CSV); TestTableCSVWellFormed checks the CSV of every experiment
 experiments:-chart DESIGN.md "Additional systems": internal/viz charts of the tables and the Figure 3 heat map
 experiments:-cpuprofile README "Hot-path performance & profiling"
 experiments:-memprofile README "Hot-path performance & profiling"

@@ -118,7 +118,6 @@ grep -v '^total:' "$tmp/func.txt" | awk '$NF == "0.0%" { print $1, $2 }' \
 cat > "$tmp/keep.txt" <<'EOF'
 cmd/benchjson/hotpath.go:* make bench: converts the hot-path benchmarks' output into BENCH_hotpath.json (TestConvertHotpath feeds it a fixed transcript)
 cmd/check/main.go:runReplay cmd/check -replay: re-runs a saved counterexample, which exists only after a divergence
-cmd/experiments/main.go:* the CLI that writes the paper tables; the bench smoke runs the same experiments through experiments.Run
 cmd/obstool/main.go:usage usage text for a bad command line
 cmd/overhead/* Table I at any geometry (README "Other tools")
 cmd/rltrain/main.go:saveCheckpoint checkpoint write: crash-smoke writes checkpoints in the run it SIGKILLs, and a killed process leaves no counters
@@ -131,21 +130,18 @@ internal/cachesim/invariants.go:* invariant checker built by -tags simcheck (mak
 internal/policy/*.go:*.CheckInvariants invariant checker built by -tags simcheck (make check runs those suites)
 internal/checkpoint/checkpoint.go:Save checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/checkpoint/checkpoint.go:*.Error error text for a corrupt or mismatched checkpoint
-internal/experiments/experiments.go:QuickScale cmd/experiments -scale quick
 internal/experiments/experiments.go:List cmd/experiments -list
-internal/experiments/experiments.go:SetKeepGoing cmd/experiments -keep-going
 internal/experiments/experiments.go:TrainedAgent examples/rlinsights
 internal/experiments/fig10.go:shortErr keep-going cell annotation, reached only when a cell fails
 internal/nn/batch.go:gemmGo pure-Go kernel where AVX2 is absent (TestForwardBatchPureGoPath and TestBackwardBatchPureGoPath pin it)
 internal/nn/nn.go:MLP.SaveFull checkpoint write (see cmd/rltrain saveCheckpoint)
-internal/obs/http.go:serveOn the -obs-addr endpoint of rlrsim and rltrain
+internal/obs/http.go:serveOn the -obs-addr endpoint of rltrain, rlrsim and experiments (obs.StartCLI)
 internal/obs/metrics.go:PublishExpvar the -obs-addr endpoint's /debug/vars
 internal/obs/obs.go:Disable tests that switch the process-wide registry on switch it off again (cachesim, experiments and server tests)
-internal/obs/sink.go:* event sinks chosen by -obs-trace ring:N and discard
+internal/obs/sink.go:Discard.* the sink chosen by -obs-trace discard (overhead measurement)
+internal/obs/sink.go:sampler.reportOnce error report of a failing trace or span sink (a full disk), reached only when an emit fails
 internal/obs/span.go:SpanOp.String span op wire name (fmt.Stringer)
 internal/obs/span.go:SpanOp.UnmarshalJSON decodes span JSONL; the server tests read /spans through it (another package)
-internal/obs/span.go:*.EmitSpan span sinks chosen by rlcached -span-trace jsonl:PATH and discard
-internal/obs/span.go:RingSpanSink.Total ring span sink counter for the /spans endpoint
 internal/obs/window.go:Window.RecordBypass server PUT bypass path; the smoke workload never bypasses
 internal/policy/belady.go:Oracle.Len NextUseChain method; perfbench llc-zoo calls it through its timed chain
 internal/policy/counter.go:* CBR: a row of BENCH_server.json (make bench-server)
@@ -167,7 +163,6 @@ internal/rl/state.go:Agent.saveState checkpoint write (see cmd/rltrain saveCheck
 internal/rl/trainer.go:Trainer.SaveState checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/sched/failsafe.go:* cmd/experiments -timeout
 internal/sched/keepgoing.go:MapAll cmd/experiments -keep-going: fig10's grids keep going past a failed cell
-internal/sched/keepgoing.go:StreamAll cmd/experiments -keep-going: the suite keeps going past a failed experiment
 internal/sched/memo.go:Memo.forget memo error path: a failed computation is not cached
 internal/sched/memo.go:Memo.Computes experiments tests count memo computations through it (another package)
 internal/sched/memo.go:Memo.Len experiments tests count memoized results through it (another package)
@@ -178,7 +173,6 @@ internal/server/server.go:Server.del the server's HTTP DELETE API
 internal/server/shard.go:shard.del the server's HTTP DELETE API
 internal/server/shard.go:shard.resolveCollision two keys sharing a 64-bit hash; vanishingly rare
 internal/server/shard.go:shard.recordPutBypass server PUT bypass path; the smoke workload never bypasses
-internal/stats/stats.go:Table.CSV cmd/experiments -csv
 internal/trace/chunked.go:Codec.String codec name in error text (fmt.Stringer)
 internal/trace/chunked.go:corruptf error path for a corrupt container
 internal/uarch/prefetch.go:* Prefetcher method: a name label, or the confidence only KPC-P's fill gating reads

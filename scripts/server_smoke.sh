@@ -27,7 +27,7 @@ go build -o "$dir/obstool" ./cmd/obstool
 echo "server-smoke: booting rlcached on an ephemeral port..."
 "$dir/rlcached" -addr 127.0.0.1:0 -addr-file "$dir/addr" \
     -policy lru -shards 2 -sets 512 -ways 8 -mem-mb 8 \
-    -window 30s -topk 8 -span-trace ring:1024@50 > "$dir/rlcached.log" 2>&1 &
+    -window 30s -topk 8 -obs-trace ring:1024@50 > "$dir/rlcached.log" 2>&1 &
 srv_pid=$!
 
 i=0
