@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench-smoke bench bench-intervals bench-server batch-smoke crash-smoke obs-smoke intervals-smoke server-smoke check reach ci
+.PHONY: build test vet race bench-smoke bench bench-intervals bench-server bench-pairs batch-smoke crash-smoke obs-smoke intervals-smoke server-smoke check reach ci
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,21 @@ bench:
 	mkdir -p tmp_bench
 	$(GO) test -run='^$$' -bench=Hotpath -benchmem -count=5 . ./internal/nn > tmp_bench/hotpath.txt
 	$(GO) run ./cmd/benchjson -hotpath -o BENCH_hotpath.json < tmp_bench/hotpath.txt
+
+# Paired end-to-end benchmark runs of two commits, converted into
+# BENCH_pairs.json (per-metric medians, ranges, pair ratios, pairs won).
+# scripts/pairs.sh builds both sides from git worktrees through
+# perfbench/run.sh and alternates their order over seeds. Each pair takes
+# about 50 s, so the default 10 pairs of two workloads take ~20 minutes:
+#   make bench-pairs PARENT=HEAD~1 CHANGE=HEAD WORKLOADS="llc-zoo ipc-timing"
+PARENT ?= HEAD~1
+CHANGE ?= HEAD
+WORKLOADS ?= llc-zoo ipc-timing
+PAIRS ?= 10
+bench-pairs:
+	mkdir -p tmp_bench
+	for w in $(WORKLOADS); do sh scripts/pairs.sh $(PARENT) $(CHANGE) $$w $(PAIRS) || exit 1; done > tmp_bench/pairs.txt
+	$(GO) run ./cmd/benchjson -pairs -o BENCH_pairs.json < tmp_bench/pairs.txt
 
 # Regression gate for the NN kernels: ForwardBatch at B=8 must be at
 # least 2x faster per sample than the scalar reference, and the

@@ -18,8 +18,9 @@ import (
 //	go test -run '^$' -bench Hotpath -benchmem -count 5 . ./internal/nn
 //
 // read on stdin into BENCH_hotpath.json: the per-access inner loops
-// (oracle query, simulator step, NN forward/backward) and the end-to-end
-// chain-driven Belady replay. Every figure is the median of its runs, and
+// (oracle query, simulator step, NN forward/backward), the end-to-end
+// chain-driven Belady replay and the RLR replay (micro row rlr_replay, ns
+// per whole replay). Every figure is the median of its runs, and
 // the speedup ratios are ratios of medians.
 
 type hotpathMicro struct {
@@ -48,6 +49,7 @@ type hotpathReport struct {
 var hotpathRows = []struct{ name, bench, unit string }{
 	{"oracle_nextuse_chain", "HotpathOracleNextUseChain", "ns/op"},
 	{"simulator_step", "HotpathSimulatorStep", "ns/op"},
+	{"rlr_replay", "HotpathRLRReplay", "ns/op"},
 	{"mlp_forward", "HotpathMLPForward", "ns/op"},
 	{"mlp_backward", "HotpathMLPBackward", "ns/op"},
 	{"mlp_forward_ref", "HotpathMLPForwardRef", "ns/op"},

@@ -5,8 +5,10 @@ package core
 // CorePriorities returns a copy of the current per-core priority levels
 // (§IV-D); all zeros outside multicore mode.
 func (p *RLR) CorePriorities() []int {
-	out := make([]int, len(p.corePrio))
-	copy(out, p.corePrio)
+	out := make([]int, len(p.coreHits))
+	for c := range out {
+		out[c] = int(p.corePrio[c])
+	}
 	return out
 }
 

@@ -114,17 +114,19 @@ func Unoptimized() Options {
 type rlrLine struct {
 	age     uint32 // AgeBits-wide saturating counter
 	hits    uint8  // HitBits-wide saturating counter
-	typePF  bool   // Type Register: last access was a prefetch
+	typePF  uint8  // Type Register: 1 when the last access was a prefetch
 	recency uint8  // only maintained when !ApproxRecency
+	core    uint8  // core of the last access (§IV-D), as cache.Line.Core
 }
 
 // RLR implements policy.Policy.
 type RLR struct {
 	opt  Options
-	cfg  policy.Config
 	name string
 
-	lines [][]rlrLine
+	// lines is the sets×ways state slab: way w of set s is lines[s*ways+w].
+	lines []rlrLine
+	ways  int
 	// epoch is the per-set 3-bit miss counter of the optimized design.
 	epoch []uint8
 
@@ -137,20 +139,35 @@ type RLR struct {
 	hitMax    uint8
 	epochMask uint8
 
-	// Multicore extension (§IV-D).
+	// Victim's key terms, fixed by Init from the option switches: the age
+	// weight, and all-ones or zero masks for Ptype, Phit and the tie rank's
+	// source (ones: age; zero: the recency stack).
+	ageW, typeMask, hitMask, ageTieMask uint64
+
+	// Multicore extension (§IV-D). corePrio holds Pcore per core ID (the
+	// core-hit rank of ID mod NumCores); it stays zero outside multicore
+	// mode, so Victim adds it unconditionally.
 	coreHits  []uint64
-	corePrio  []int
+	corePrio  [256]uint64
 	accessCnt uint64
 }
 
+// maxAgeWeight bounds AgeWeight so that a line's priority fits the 24 bits
+// Victim's key gives it.
+const maxAgeWeight = 1 << 20
+
 // New returns an RLR instance with the given options. It panics on
-// obviously invalid options (zero widths), which are programming errors.
+// obviously invalid options (zero widths, an age weight outside
+// [0, 2^20]), which are programming errors.
 func New(opt Options) *RLR {
 	if opt.AgeBits <= 0 || opt.AgeBits > 30 {
 		panic(fmt.Sprintf("core: invalid AgeBits %d", opt.AgeBits))
 	}
 	if opt.HitBits <= 0 || opt.HitBits > 8 {
 		panic(fmt.Sprintf("core: invalid HitBits %d", opt.HitBits))
+	}
+	if opt.AgeWeight < 0 || opt.AgeWeight > maxAgeWeight {
+		panic(fmt.Sprintf("core: invalid AgeWeight %d", opt.AgeWeight))
 	}
 	if opt.HitsPerRDUpdate <= 0 {
 		panic("core: HitsPerRDUpdate must be positive")
@@ -171,15 +188,23 @@ func New(opt Options) *RLR {
 // Name implements policy.Policy.
 func (p *RLR) Name() string { return p.name }
 
+// mask returns all ones when on, else zero.
+func mask(on bool) uint64 {
+	if on {
+		return ^uint64(0)
+	}
+	return 0
+}
+
 // Init implements policy.Policy.
 func (p *RLR) Init(cfg policy.Config) {
-	p.cfg = cfg
-	p.lines = make([][]rlrLine, cfg.Sets)
+	if cfg.Ways > 256 {
+		panic(fmt.Sprintf("core: RLR supports at most 256 ways, got %d", cfg.Ways))
+	}
+	p.ways = cfg.Ways
+	p.lines = make([]rlrLine, cfg.Sets*cfg.Ways)
 	for i := range p.lines {
-		p.lines[i] = make([]rlrLine, cfg.Ways)
-		for w := range p.lines[i] {
-			p.lines[i][w].recency = uint8(w)
-		}
+		p.lines[i].recency = uint8(i % cfg.Ways)
 	}
 	p.epoch = make([]uint8, cfg.Sets)
 	p.ageMax = (1 << uint(p.opt.AgeBits)) - 1
@@ -189,85 +214,65 @@ func (p *RLR) Init(cfg policy.Config) {
 	}
 	p.rd = 0
 	p.accum, p.hitCount = 0, 0
+	p.ageW = uint64(p.opt.AgeWeight)
+	p.typeMask = mask(p.opt.UseTypePriority)
+	p.hitMask = mask(p.opt.UseHitPriority)
+	p.ageTieMask = mask(p.opt.ApproxRecency)
 	n := cfg.NumCores
 	if n < 1 {
 		n = 1
 	}
 	p.coreHits = make([]uint64, n)
-	p.corePrio = make([]int, n)
+	p.corePrio = [256]uint64{}
 	p.accessCnt = 0
 }
 
-// priority computes Pline for one way.
-func (p *RLR) priority(setIdx uint32, way int) int {
-	ln := &p.lines[setIdx][way]
-	prio := 0
-	if ln.age <= p.rd {
-		prio += p.opt.AgeWeight // Page = 1, weighted
-	}
-	if p.opt.UseTypePriority && !ln.typePF {
-		prio++ // Ptype = 1 for non-prefetch last access
-	}
-	if p.opt.UseHitPriority {
-		prio += int(ln.hits) // Phit (0/1 optimized; 0..3 unoptimized)
-	}
-	// Pcore (multicore mode) is added by Victim, which can read the line's
-	// core tag from the set metadata.
-	return prio
+// row returns the state of one set's ways.
+func (p *RLR) row(setIdx uint32) []rlrLine {
+	base := int(setIdx) * p.ways
+	return p.lines[base : base+p.ways]
 }
 
 // Victim implements policy.Policy: evict the lowest-priority line, breaking
-// ties toward the most recently used line (§IV-A).
+// ties toward the most recently used line (§IV-A). Like the hardware
+// comparator, it takes one minimum over per-way keys
+//
+//	Pline<<40 | tieRank<<8 | way
+//
+// where Pline = AgeWeight·Page + Ptype + Phit + Pcore and tieRank is the
+// age (optimized: lower age is more recent) or ways−1−recency. Equal
+// priorities and ranks go to the lower way.
 func (p *RLR) Victim(ctx policy.AccessCtx, set *cache.Set) int {
-	if p.opt.AllowBypass && ctx.Type != trace.Writeback {
-		anyExpired := false
-		for w := range p.lines[ctx.SetIdx] {
-			if p.lines[ctx.SetIdx][w].age > p.rd {
-				anyExpired = true
-				break
-			}
-		}
-		if !anyExpired {
-			// Bypassed misses never reach Update, so the set's miss-driven
-			// aging must advance here or no line would ever expire and the
-			// set would bypass forever.
-			p.ageOnMiss(ctx.SetIdx)
-			return policy.Bypass
-		}
+	rd, maxRec := uint64(p.rd), uint64(p.ways-1)
+	ageW, typeMask, hitMask, ageTie := p.ageW, p.typeMask, p.hitMask, p.ageTieMask
+	best, expired := ^uint64(0), uint64(0)
+	row := p.row(ctx.SetIdx)
+	for w := range row {
+		ln := &row[w]
+		age := uint64(ln.age)
+		old := (rd - age) >> 63 // 1 when age > RD: Page = 0
+		expired |= old
+		prio := (old-1)&ageW +
+			(1^uint64(ln.typePF))&typeMask +
+			uint64(ln.hits)&hitMask +
+			p.corePrio[ln.core]
+		rank := age&ageTie + (maxRec-uint64(ln.recency))&^ageTie
+		best = min(best, prio<<40|rank<<8|uint64(w))
 	}
-	best := 0
-	bestPrio := 1 << 30
-	for w := range p.lines[ctx.SetIdx] {
-		prio := p.priority(ctx.SetIdx, w)
-		if p.opt.Multicore {
-			prio += p.corePrio[int(set.Lines[w].Core)%len(p.corePrio)]
-		}
-		switch {
-		case prio < bestPrio:
-			best, bestPrio = w, prio
-		case prio == bestPrio && p.moreRecent(ctx.SetIdx, w, best):
-			best = w
-		}
+	if p.opt.AllowBypass && ctx.Type != trace.Writeback && expired == 0 {
+		// Bypassed misses never reach Update, so the set's miss-driven
+		// aging must advance here or no line would ever expire and the
+		// set would bypass forever.
+		p.ageOnMiss(ctx.SetIdx)
+		return policy.Bypass
 	}
-	return best
-}
-
-// moreRecent reports whether way a was accessed more recently than way b,
-// using the optimized design's age approximation or the true recency stack.
-func (p *RLR) moreRecent(setIdx uint32, a, b int) bool {
-	la, lb := &p.lines[setIdx][a], &p.lines[setIdx][b]
-	if p.opt.ApproxRecency {
-		// Lower age ⇒ more recent; equal ages break toward the lower way
-		// index, which means "do not replace the current best" here.
-		return la.age < lb.age
-	}
-	return la.recency > lb.recency
+	return int(best & 0xff)
 }
 
 // Update implements policy.Policy.
 func (p *RLR) Update(ctx policy.AccessCtx, set *cache.Set, way int, hit bool) {
 	p.accessCnt++
-	row := p.lines[ctx.SetIdx]
+	row := p.row(ctx.SetIdx)
 
 	if hit {
 		ln := &row[way]
@@ -277,11 +282,7 @@ func (p *RLR) Update(ctx policy.AccessCtx, set *cache.Set, way int, hit bool) {
 			if ctx.Type.IsDemand() {
 				p.observePreuse(ln.age)
 			}
-			for w := range row {
-				if row[w].age < p.ageMax {
-					row[w].age++
-				}
-			}
+			p.ageRow(row)
 		} else if ctx.Type.IsDemand() {
 			// Optimized: ages only advance on miss epochs; the quantized
 			// age at hit time is what the accumulator receives (Figure 9).
@@ -298,9 +299,10 @@ func (p *RLR) Update(ctx policy.AccessCtx, set *cache.Set, way int, hit bool) {
 		// a demand-resident line does not turn that line into a non-reused
 		// prefetch.
 		if ctx.Type != trace.Prefetch {
-			ln.typePF = false
+			ln.typePF = 0
 		}
-		p.promote(ctx.SetIdx, way)
+		ln.core = ctx.Core
+		p.promote(row, way)
 		if p.opt.Multicore && ctx.Type.IsDemand() {
 			p.coreHits[int(ctx.Core)%len(p.coreHits)]++
 		}
@@ -308,14 +310,26 @@ func (p *RLR) Update(ctx policy.AccessCtx, set *cache.Set, way int, hit bool) {
 		// Fill (every non-bypassed miss).
 		p.ageOnMiss(ctx.SetIdx)
 		row[way] = rlrLine{
-			typePF:  ctx.Type == trace.Prefetch,
 			recency: row[way].recency,
+			core:    ctx.Core,
 		}
-		p.promote(ctx.SetIdx, way)
+		if ctx.Type == trace.Prefetch {
+			row[way].typePF = 1
+		}
+		p.promote(row, way)
 	}
 
 	if p.opt.Multicore && p.accessCnt%uint64(p.opt.AccessesPerCoreUpdate) == 0 {
 		p.rerankCores()
+	}
+}
+
+// ageRow advances every age counter of one set, saturating at ageMax.
+func (p *RLR) ageRow(row []rlrLine) {
+	for w := range row {
+		if row[w].age < p.ageMax {
+			row[w].age++
+		}
 	}
 }
 
@@ -324,32 +338,22 @@ func (p *RLR) Update(ctx policy.AccessCtx, set *cache.Set, way int, hit bool) {
 // counter for the optimized design (ages advance every MissesPerEpoch set
 // misses).
 func (p *RLR) ageOnMiss(setIdx uint32) {
-	row := p.lines[setIdx]
 	if p.opt.MissesPerEpoch == 0 {
-		for w := range row {
-			if row[w].age < p.ageMax {
-				row[w].age++
-			}
-		}
+		p.ageRow(p.row(setIdx))
 		return
 	}
 	p.epoch[setIdx]++
 	if p.epoch[setIdx]&p.epochMask == 0 {
 		p.epoch[setIdx] = 0
-		for w := range row {
-			if row[w].age < p.ageMax {
-				row[w].age++
-			}
-		}
+		p.ageRow(p.row(setIdx))
 	}
 }
 
 // promote maintains the true recency stack for the unoptimized design.
-func (p *RLR) promote(setIdx uint32, way int) {
+func (p *RLR) promote(row []rlrLine, way int) {
 	if p.opt.ApproxRecency {
 		return
 	}
-	row := p.lines[setIdx]
 	old := row[way].recency
 	for w := range row {
 		if row[w].recency > old {
@@ -403,16 +407,12 @@ func (p *RLR) rerankCores() {
 			}
 		}
 	}
-	levels := n - 1
-	if levels > 3 {
-		levels = 3 // 2-bit Pcore
-	}
+	levels := min(n-1, 3) // 2-bit Pcore
 	for rank, c := range order {
-		lv := levels - rank
-		if lv < 0 {
-			lv = 0
-		}
-		p.corePrio[c] = lv
+		p.corePrio[c] = uint64(max(levels-rank, 0))
+	}
+	for c := n; c < len(p.corePrio); c++ {
+		p.corePrio[c] = p.corePrio[c%n] // core IDs alias mod NumCores
 	}
 	for i := range p.coreHits {
 		p.coreHits[i] /= 2 // decay so phase changes re-rank

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -15,7 +16,11 @@ import (
 // exercises every route: the index, the metrics dump, expvar, and the ring
 // sink's recent-events stream.
 func TestServeEndpoints(t *testing.T) {
-	Default().Counter("http_test_counter").Inc()
+	// The registry is process-wide, so a repeated run (-count=N) finds the
+	// counter already moved: expect one more than it held before.
+	c := Default().Counter("http_test_counter")
+	want := fmt.Sprintf("http_test_counter %d\n", c.Value()+1)
+	c.Inc()
 	ring := NewRing[CacheEvent](4)
 	ring.Emit(&CacheEvent{Kind: EvHit, Seq: 42, Addr: 64})
 
@@ -48,7 +53,7 @@ func TestServeEndpoints(t *testing.T) {
 	if idx := get("/"); !strings.Contains(idx, "/metrics") || !strings.Contains(idx, "/events") {
 		t.Errorf("index page incomplete:\n%s", idx)
 	}
-	if m := get("/metrics"); !strings.Contains(m, "http_test_counter 1") {
+	if m := get("/metrics"); !strings.Contains(m, want) {
 		t.Errorf("/metrics missing the registered counter:\n%s", m)
 	}
 	var vars map[string]json.RawMessage

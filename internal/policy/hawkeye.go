@@ -96,8 +96,8 @@ func (o *optGenSet) access(block, pc uint64) (optHit bool, trainPC uint64, train
 type Hawkeye struct {
 	pred    []uint8
 	rrpv    [][]uint8
-	linePC  [][]uint64 // PC that inserted each line, for detraining
-	samples map[uint32]*optGenSet
+	linePC  [][]uint64   // PC that inserted each line, for detraining
+	samples []*optGenSet // per set; nil for a set OPTgen does not sample
 	ways    int
 }
 
@@ -123,16 +123,13 @@ func (p *Hawkeye) Init(cfg Config) {
 			p.rrpv[i][w] = hkRRIPMax
 		}
 	}
-	p.samples = make(map[uint32]*optGenSet, hkSampleSets)
+	p.samples = make([]*optGenSet, cfg.Sets)
 	stride := cfg.Sets / hkSampleSets
 	if stride == 0 {
 		stride = 1
 	}
-	for s := 0; s < cfg.Sets; s += stride {
-		p.samples[uint32(s)] = newOptGenSet(cfg.Ways)
-		if len(p.samples) == hkSampleSets {
-			break
-		}
+	for s, n := 0, 0; s < cfg.Sets && n < hkSampleSets; s, n = s+stride, n+1 {
+		p.samples[s] = newOptGenSet(cfg.Ways)
 	}
 }
 
@@ -178,7 +175,7 @@ func (p *Hawkeye) Update(ctx AccessCtx, _ *cache.Set, way int, hit bool) {
 	// OPTgen training happens on every demand/prefetch access to a sampled
 	// set, hit or miss.
 	if ctx.Type != trace.Writeback {
-		if og, ok := p.samples[ctx.SetIdx]; ok {
+		if og := p.samples[ctx.SetIdx]; og != nil {
 			block := ctx.Addr >> 6
 			if optHit, trainPC, trainable := og.access(block, ctx.PC); trainable {
 				idx := p.predIndex(trainPC)
@@ -241,6 +238,9 @@ func (p *Hawkeye) CheckInvariants() error {
 		}
 	}
 	for setIdx, og := range p.samples {
+		if og == nil {
+			continue
+		}
 		for t, occ := range og.occupancy {
 			if occ > og.capacity {
 				return fmt.Errorf("hawkeye: optgen set %d occupancy[%d] = %d exceeds capacity %d",

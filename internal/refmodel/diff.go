@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cachesim"
+	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/trace"
 )
@@ -78,6 +79,20 @@ func Pairs() []Pair {
 				return NewBelady(tr, true)
 			},
 			MaxN: 800,
+		},
+		registryPair("rlr", func() Model { return NewRLR("rlr", true, true) }),
+		registryPair("rlr-unopt", func() Model { return NewRLR("rlr-unopt", false, true) }),
+		{
+			// The §V-B ablation without the hit priority.
+			Name: "rlr-nohit",
+			New: func(_ []trace.Access, _ cache.Config) policy.Policy {
+				o := core.Optimized()
+				o.UseHitPriority = false
+				return core.New(o)
+			},
+			Ref: func(_ []trace.Access, _ cache.Config) Model {
+				return NewRLR("rlr-nohit", true, false)
+			},
 		},
 	}
 }

@@ -529,3 +529,161 @@ func (m *refBelady) Access(a trace.Access) Step {
 	m.fill(set, w, blk)
 	return Step{Way: w}
 }
+
+// --- RLR ---
+
+// RLR constants restated from §IV-A/§IV-C of the RLR paper: an age
+// priority of weight 8, the predicted reuse distance RD = 2 × the mean
+// age of demand hits, recomputed every 32 demand hits, and (optimized
+// design) ages that advance once per 8 set misses.
+const (
+	refRLRAgeWeight   = 8
+	refRLRMultiplier  = 2
+	refRLRHitsPerRD   = 32
+	refRLRMissesPerEp = 8
+)
+
+// refRLR is RLR from §IV-A. Every line carries an age counter, a hit
+// counter, a type bit (its last access was a prefetch) and, for the
+// unoptimized design, a last-use stamp for the recency tie-break. A line's
+// priority is 8·[age ≤ RD] + [not prefetched] + hits; the victim is the
+// lowest-priority line, ties going to the most recently used one. The
+// optimized design (§IV-C) narrows ages to 2 bits that advance once per 8
+// set misses, the hit counter to 1 bit, and approximates recency by age
+// (lower age is more recent; equal ages keep the lower way). The
+// unoptimized design has 5-bit ages that count every set access, a 2-bit
+// hit counter, and true recency.
+type refRLR struct {
+	refCache
+	name      string
+	optimized bool
+	useHit    bool // false: the §V-B ablation without the hit priority
+	ageMax    int
+	hitMax    int
+
+	age    [][]int
+	hits   [][]int
+	pf     [][]bool
+	used   [][]uint64 // last-use stamp; larger is more recent
+	misses []int      // set misses since the last age epoch (optimized)
+	clock  uint64
+
+	rd, accum, demandHits int
+}
+
+// NewRLR returns the reference RLR model: the optimized design (§IV-C) or
+// the unoptimized one (§V-B), with or without the hit priority.
+func NewRLR(name string, optimized, useHit bool) Model {
+	m := &refRLR{name: name, optimized: optimized, useHit: useHit, ageMax: 31, hitMax: 3}
+	if optimized {
+		m.ageMax, m.hitMax = 3, 1
+	}
+	return m
+}
+
+func (m *refRLR) Name() string { return m.name }
+
+func (m *refRLR) Reset(cfg cache.Config) {
+	m.reset(cfg)
+	m.age = make([][]int, cfg.Sets)
+	m.hits = make([][]int, cfg.Sets)
+	m.pf = make([][]bool, cfg.Sets)
+	m.used = make([][]uint64, cfg.Sets)
+	for i := range m.age {
+		m.age[i] = make([]int, cfg.Ways)
+		m.hits[i] = make([]int, cfg.Ways)
+		m.pf[i] = make([]bool, cfg.Ways)
+		m.used[i] = make([]uint64, cfg.Ways)
+	}
+	m.misses = make([]int, cfg.Sets)
+	m.clock = 0
+	m.rd, m.accum, m.demandHits = 0, 0, 0
+}
+
+// ageSet advances every age counter of set by one, saturating.
+func (m *refRLR) ageSet(set int) {
+	for w := 0; w < m.ways; w++ {
+		if m.age[set][w] < m.ageMax {
+			m.age[set][w]++
+		}
+	}
+}
+
+// observe feeds one demand hit's age into the RD predictor: RD is the
+// rounded mean of the last 32 such ages, times 2.
+func (m *refRLR) observe(age int) {
+	m.accum += age
+	m.demandHits++
+	if m.demandHits == refRLRHitsPerRD {
+		m.rd = (m.accum*refRLRMultiplier + refRLRHitsPerRD/2) / refRLRHitsPerRD
+		m.accum, m.demandHits = 0, 0
+	}
+}
+
+func (m *refRLR) priority(set, w int) int {
+	p := 0
+	if m.age[set][w] <= m.rd {
+		p += refRLRAgeWeight
+	}
+	if !m.pf[set][w] {
+		p++
+	}
+	if m.useHit {
+		p += m.hits[set][w]
+	}
+	return p
+}
+
+func (m *refRLR) moreRecent(set, a, b int) bool {
+	if m.optimized {
+		return m.age[set][a] < m.age[set][b]
+	}
+	return m.used[set][a] > m.used[set][b]
+}
+
+func (m *refRLR) Access(a trace.Access) Step {
+	m.clock++
+	set := m.setOf(a.Addr)
+	blk := m.blockOf(a.Addr)
+	if w := m.find(set, blk); w >= 0 {
+		if a.Type.IsDemand() {
+			m.observe(m.age[set][w]) // the hit's age is its preuse distance
+		}
+		if !m.optimized {
+			m.ageSet(set)
+		}
+		m.age[set][w] = 0
+		if m.hits[set][w] < m.hitMax {
+			m.hits[set][w]++
+		}
+		if a.Type != trace.Prefetch {
+			m.pf[set][w] = false
+		}
+		m.used[set][w] = m.clock
+		return Step{Hit: true, Way: w}
+	}
+	w := m.invalidWay(set)
+	if w < 0 {
+		w = 0
+		for v := 1; v < m.ways; v++ {
+			pv, pw := m.priority(set, v), m.priority(set, w)
+			if pv < pw || pv == pw && m.moreRecent(set, v, w) {
+				w = v
+			}
+		}
+	}
+	if m.optimized {
+		m.misses[set]++
+		if m.misses[set] == refRLRMissesPerEp {
+			m.misses[set] = 0
+			m.ageSet(set)
+		}
+	} else {
+		m.ageSet(set)
+	}
+	m.fill(set, w, blk)
+	m.age[set][w], m.hits[set][w] = 0, 0
+	m.pf[set][w] = a.Type == trace.Prefetch
+	m.used[set][w] = m.clock
+	return Step{Way: w}
+}

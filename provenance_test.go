@@ -2,6 +2,7 @@ package repro
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -13,8 +14,10 @@ import (
 // name an ancestor of HEAD, and meta.git_dirty, when recorded, must be
 // false. Figures quoted in README and EXPERIMENTS come from these files,
 // so one built from an uncommitted or foreign tree could not be
-// reproduced. The test skips only when git or the .git directory is
-// absent (an exported source tree has no history to check against).
+// reproduced. BENCH_pairs.json compares two commits, so its parent_sha
+// and change_sha must name ancestors of HEAD too. The test skips only when
+// git or the .git directory is absent (an exported source tree has no
+// history to check against).
 func TestBenchProvenance(t *testing.T) {
 	if _, err := exec.LookPath("git"); err != nil {
 		t.Skip("git not installed")
@@ -30,6 +33,13 @@ func TestBenchProvenance(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no committed BENCH_*.json")
 	}
+	isAncestor := func(sha string) error {
+		cmd := exec.Command("git", "merge-base", "--is-ancestor", sha, "HEAD")
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			return fmt.Errorf("%s is not an ancestor of HEAD: %v %s", sha, err, msg)
+		}
+		return nil
+	}
 	for _, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
@@ -40,6 +50,8 @@ func TestBenchProvenance(t *testing.T) {
 				GitSHA   string `json:"git_sha"`
 				GitDirty bool   `json:"git_dirty"`
 			} `json:"meta"`
+			ParentSHA string `json:"parent_sha"`
+			ChangeSHA string `json:"change_sha"`
 		}
 		if err := json.Unmarshal(data, &doc); err != nil {
 			t.Errorf("%s: %v", f, err)
@@ -52,9 +64,18 @@ func TestBenchProvenance(t *testing.T) {
 		case doc.Meta.GitDirty:
 			t.Errorf("%s: generated from a dirty tree (meta.git_dirty is true)", f)
 		default:
-			cmd := exec.Command("git", "merge-base", "--is-ancestor", sha, "HEAD")
-			if msg, err := cmd.CombinedOutput(); err != nil {
-				t.Errorf("%s: meta.git_sha %s is not an ancestor of HEAD: %v %s", f, sha, err, msg)
+			if err := isAncestor(sha); err != nil {
+				t.Errorf("%s: meta.git_sha %v", f, err)
+			}
+		}
+		if f != "BENCH_pairs.json" {
+			continue
+		}
+		for field, sha := range map[string]string{"parent_sha": doc.ParentSHA, "change_sha": doc.ChangeSHA} {
+			if sha == "" {
+				t.Errorf("%s: %s is empty", f, field)
+			} else if err := isAncestor(sha); err != nil {
+				t.Errorf("%s: %s %v", f, field, err)
 			}
 		}
 	}

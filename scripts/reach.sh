@@ -117,6 +117,7 @@ grep -v '^total:' "$tmp/func.txt" | awk '$NF == "0.0%" { print $1, $2 }' \
 # in another package needs it (its rule then says which).
 cat > "$tmp/keep.txt" <<'EOF'
 cmd/benchjson/hotpath.go:* make bench: converts the hot-path benchmarks' output into BENCH_hotpath.json (TestConvertHotpath feeds it a fixed transcript)
+cmd/benchjson/pairs.go:* make bench-pairs: converts paired perfbench runs into BENCH_pairs.json (TestConvertPairs feeds it a fixed transcript)
 cmd/check/main.go:runReplay cmd/check -replay: re-runs a saved counterexample, which exists only after a divergence
 cmd/obstool/main.go:usage usage text for a bad command line
 cmd/overhead/* Table I at any geometry (README "Other tools")
