@@ -1,7 +1,7 @@
 // bench_hotpath_test.go measures the simulator's per-access hot path:
 // oracle next-use queries, one simulator step, and end-to-end trace
-// replays under the chain-driven Belady and under RLR. The agent network's rows live in
-// internal/nn/hotpath_test.go. Run
+// replays under the chain-driven Belady and under RLR. The agent
+// network's rows live in internal/nn/hotpath_test.go. Run
 //
 //	go test -run '^$' -bench Hotpath -benchmem . ./internal/nn
 //

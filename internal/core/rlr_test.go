@@ -34,6 +34,9 @@ func TestNewPanicsOnBadOptions(t *testing.T) {
 		{AgeBits: 0, HitBits: 1, HitsPerRDUpdate: 32},
 		{AgeBits: 2, HitBits: 0, HitsPerRDUpdate: 32},
 		{AgeBits: 2, HitBits: 1, HitsPerRDUpdate: 0},
+		// Victim's key needs a priority in [0, 2^24).
+		{AgeBits: 2, HitBits: 1, HitsPerRDUpdate: 32, AgeWeight: -1},
+		{AgeBits: 2, HitBits: 1, HitsPerRDUpdate: 32, AgeWeight: 1<<20 + 1},
 	}
 	for i, o := range cases {
 		func() {
