@@ -46,7 +46,7 @@ bench:
 
 # Paired end-to-end benchmark runs of two commits, converted into
 # BENCH_pairs.json (per-metric medians, ranges, pair ratios, pairs won).
-# scripts/pairs.sh builds both sides from git worktrees through
+# scripts/pairs.sh builds both sides from local git clones through
 # perfbench/run.sh and alternates their order over seeds. Each pair takes
 # about 50 s, so the default 10 pairs of two workloads take ~20 minutes:
 #   make bench-pairs PARENT=HEAD~1 CHANGE=HEAD WORKLOADS="llc-zoo ipc-timing"

@@ -19,6 +19,8 @@ import (
 // ranges and interquartile ranges per side, the change/parent ratio of
 // every pair and the number of pairs the change won. Several transcripts
 // (one per workload) may be concatenated; all must name the same commits.
+// Every run's metadata must record the commit of its side and a clean
+// tree, so each number in the report is tied to the commit it measured.
 
 // pairsMetrics are perfbench's end-to-end metrics, each with the direction
 // in which it improves.
@@ -67,6 +69,7 @@ type pairsReport struct {
 
 // pairsRun is one perfbench run of the transcript.
 type pairsRun struct {
+	side    int // 0 parent, 1 change
 	digest  string
 	done    bool // the result line was read
 	failed  int64
@@ -76,7 +79,7 @@ type pairsRun struct {
 // pairsBlock is one workload's runs: [seed][side], side 0 parent, 1 change.
 type pairsBlock struct {
 	workload string
-	seconds  float64
+	seconds  float64 // perfbench's run length, from the first run's metadata
 	runs     map[int]*[2]pairsRun
 }
 
@@ -117,11 +120,7 @@ func convertPairs(r io.Reader) (pairsReport, error) {
 			if kv["parent"] != rep.ParentSHA || kv["change"] != rep.ChangeSHA {
 				return fail("commits differ from the first header's")
 			}
-			secs, err := strconv.ParseFloat(kv["seconds"], 64)
-			if err != nil {
-				return fail("seconds: %v", err)
-			}
-			blocks = append(blocks, &pairsBlock{workload: kv["workload"], seconds: secs, runs: map[int]*[2]pairsRun{}})
+			blocks = append(blocks, &pairsBlock{workload: kv["workload"], runs: map[int]*[2]pairsRun{}})
 			cur = nil
 		case strings.HasPrefix(line, "# run "):
 			if len(blocks) == 0 {
@@ -148,7 +147,7 @@ func convertPairs(r io.Reader) (pairsReport, error) {
 			if cur.metrics != nil || cur.digest != "" {
 				return fail("second %s run at seed %d", kv["side"], seed)
 			}
-			cur.metrics = map[string]float64{}
+			cur.side, cur.metrics = s, map[string]float64{}
 		case strings.HasPrefix(line, "#"):
 		default:
 			if cur == nil {
@@ -156,7 +155,10 @@ func convertPairs(r io.Reader) (pairsReport, error) {
 			}
 			var doc struct {
 				Meta *struct {
-					Digest string `json:"digest"`
+					Digest  string  `json:"digest"`
+					Commit  string  `json:"commit"`
+					Dirty   string  `json:"dirty"`
+					Seconds float64 `json:"seconds"`
 				} `json:"meta"`
 				Failed  int64 `json:"failed"`
 				Metrics map[string]struct {
@@ -166,8 +168,18 @@ func convertPairs(r io.Reader) (pairsReport, error) {
 			if err := json.Unmarshal([]byte(line), &doc); err != nil {
 				return fail("%v", err)
 			}
-			if doc.Meta != nil {
-				cur.digest = doc.Meta.Digest
+			if m := doc.Meta; m != nil {
+				if want := [2]string{rep.ParentSHA, rep.ChangeSHA}[cur.side]; m.Commit != want || m.Dirty != "false" {
+					return fail("run built from commit %q (dirty %q), want %s clean", m.Commit, m.Dirty, want)
+				}
+				b := blocks[len(blocks)-1]
+				if b.seconds == 0 {
+					b.seconds = m.Seconds
+				}
+				if m.Seconds != b.seconds {
+					return fail("run length %v s, the block's first run had %v s", m.Seconds, b.seconds)
+				}
+				cur.digest = m.Digest
 				continue
 			}
 			cur.done, cur.failed = true, doc.Failed

@@ -73,13 +73,17 @@ func TestConvertPairs(t *testing.T) {
 func TestConvertPairsRejects(t *testing.T) {
 	full := readPairsTranscript(t)
 	cases := map[string]string{
-		"no header":       "# run side=parent seed=1\n",
-		"missing change":  full[:strings.Index(full, "# run side=change seed=1")],
-		"duplicate run":   full + "# run side=parent seed=2\n",
-		"other commits":   full + "# pairs parent=c change=d workload=x seconds=1\n",
-		"unknown side":    strings.Replace(full, "side=change seed=3", "side=other seed=3", 1),
-		"stray output":    `{"correct":true}` + "\n" + full,
-		"missing metrics": strings.Replace(full, `"setup_s"`, `"setup"`, 1),
+		"no header":             "# run side=parent seed=1\n",
+		"missing change":        full[:strings.Index(full, "# run side=change seed=1")],
+		"duplicate run":         full + "# run side=parent seed=2\n",
+		"other commits":         full + "# pairs parent=c change=d workload=x\n",
+		"unknown side":          strings.Replace(full, "side=change seed=3", "side=other seed=3", 1),
+		"stray output":          `{"correct":true}` + "\n" + full,
+		"missing metrics":       strings.Replace(full, `"setup_s"`, `"setup"`, 1),
+		"run of another commit": strings.Replace(full, `"commit":"`+strings.Repeat("b", 40), `"commit":"`+strings.Repeat("a", 40), 1),
+		"dirty run":             strings.Replace(full, `"dirty":"false"`, `"dirty":"true"`, 1),
+		"unstamped run":         strings.Replace(full, `"dirty":"false"`, `"dirty":"unknown"`, 1),
+		"other run length":      strings.Replace(full, `"seconds":20`, `"seconds":2`, 1),
 	}
 	for name, in := range cases {
 		if _, err := convertPairs(strings.NewReader(in)); err == nil {

@@ -62,18 +62,16 @@ func (o *optGenSet) access(block, pc uint64) (optHit bool, trainPC uint64, train
 	if seen && now-prev.time < o.window && now > prev.time {
 		trainable = true
 		trainPC = prev.pc
-		// The liveness interval [prev.time, now) is at most one window
-		// long: at most two runs of the circular vector.
-		start, n := prev.time%o.window, now-prev.time
-		first := o.occupancy[start:min(start+n, o.window)]
-		second := o.occupancy[:n-uint64(len(first))]
-		optHit = underCapacity(first, o.capacity) && underCapacity(second, o.capacity)
-		if optHit {
-			for i := range first {
-				first[i]++
+		optHit = true
+		for t := prev.time; t < now; t++ {
+			if o.occupancy[t%o.window] >= o.capacity {
+				optHit = false
+				break
 			}
-			for i := range second {
-				second[i]++
+		}
+		if optHit {
+			for t := prev.time; t < now; t++ {
+				o.occupancy[t%o.window]++
 			}
 		}
 	}
@@ -88,16 +86,6 @@ func (o *optGenSet) access(block, pc uint64) (optHit bool, trainPC uint64, train
 		}
 	}
 	return optHit, trainPC, trainable
-}
-
-// underCapacity reports whether every quantum of occ is below capacity.
-func underCapacity(occ []uint16, capacity uint16) bool {
-	for _, v := range occ {
-		if v >= capacity {
-			return false
-		}
-	}
-	return true
 }
 
 // Hawkeye reconstructs Belady's decisions for sampled sets (OPTgen), trains

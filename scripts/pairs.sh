@@ -1,55 +1,54 @@
 #!/bin/sh
 # pairs.sh — paired end-to-end benchmark runs of two commits.
 #
-# Checks PARENT and CHANGE out into two git worktrees, so that both sides
-# are built the same way by the unchanged perfbench/run.sh, and runs
-# WORKLOAD once per seed 1..N on each side. The side that runs first
+# Clones PARENT and CHANGE into two local git checkouts, so that both
+# sides are built the same way as the benchmark itself by the unchanged
+# perfbench/run.sh (a checkout has a .git directory, so the binary records
+# its commit and dirty flag), and runs WORKLOAD once per seed 1..N on each
+# side for perfbench's default run length. The side that runs first
 # alternates: parent first on odd seeds, change first on even ones. The
 # transcript goes to stdout, and `benchjson -pairs` converts it (one or
 # more workloads) into BENCH_pairs.json:
 #
-#   # pairs parent=<sha> change=<sha> workload=<name> seconds=<s>
+#   # pairs parent=<sha> change=<sha> workload=<name>
 #   # run side=<parent|change> seed=<n>
 #   <perfbench's metadata line and result line>
 #   ...
 #
 # Run from the repository root; commits are measured, not the working
-# tree. SECONDS defaults to 20, the benchmark's run length:
+# tree:
 #
 #   sh scripts/pairs.sh HEAD~1 HEAD llc-zoo 10 > pairs.txt
 #   go run ./cmd/benchjson -pairs -o BENCH_pairs.json < pairs.txt
 #
-# `make bench-pairs` does both for a list of workloads. Each run takes
-# SECONDS plus about 5 s of set-up, and each side builds once per call.
+# `make bench-pairs` does both for a list of workloads. Each run takes the
+# run length plus about 5 s of set-up, and each side builds once per call.
 set -eu
 
-if [ $# -lt 4 ] || [ $# -gt 5 ]; then
-    echo "usage: sh scripts/pairs.sh PARENT CHANGE WORKLOAD N [SECONDS]" >&2
+if [ $# -ne 4 ]; then
+    echo "usage: sh scripts/pairs.sh PARENT CHANGE WORKLOAD N" >&2
     exit 2
 fi
 parent=$(git rev-parse --verify "$1^{commit}")
 change=$(git rev-parse --verify "$2^{commit}")
 workload=$3
 n=$4
-secs=${5:-20}
 
 dir=$(mktemp -d)
-cleanup() {
-    git worktree remove --force "$dir/parent" 2> /dev/null || true
-    git worktree remove --force "$dir/change" 2> /dev/null || true
-    rm -rf "$dir"
-}
-trap cleanup EXIT INT TERM
-git worktree add --quiet --detach "$dir/parent" "$parent"
-git worktree add --quiet --detach "$dir/change" "$change"
+trap 'rm -rf "$dir"' EXIT INT TERM
+for side in parent change; do
+    git clone --quiet --shared --no-checkout . "$dir/$side"
+done
+git -C "$dir/parent" checkout --quiet --detach "$parent"
+git -C "$dir/change" checkout --quiet --detach "$change"
 
 run() { # run SIDE SEED
     echo "# run side=$1 seed=$2"
     (cd "$dir/$1" && bash perfbench/run.sh --workload "$workload" \
-        --seed "$2" --seconds "$secs" --trace 0)
+        --seed "$2" --trace 0)
 }
 
-echo "# pairs parent=$parent change=$change workload=$workload seconds=$secs"
+echo "# pairs parent=$parent change=$change workload=$workload"
 seed=1
 while [ "$seed" -le "$n" ]; do
     echo "pairs: $workload seed $seed of $n" >&2
