@@ -18,10 +18,11 @@ import (
 //	go test -run '^$' -bench Hotpath -benchmem -count 5 . ./internal/nn
 //
 // read on stdin into BENCH_hotpath.json: the per-access inner loops
-// (oracle query, simulator step, NN forward/backward), the end-to-end
-// chain-driven Belady replay and the RLR replay (micro row rlr_replay, ns
-// per whole replay). Every figure is the median of its runs, and
-// the speedup ratios are ratios of medians.
+// (oracle query, simulator step, NN forward/backward, and the agent's
+// batch-of-one forward on an agent-shaped input at hidden widths 175 and
+// 24), the end-to-end chain-driven Belady replay and the RLR replay
+// (micro row rlr_replay, ns per whole replay). Every figure is the median
+// of its runs, and the speedup ratios are ratios of medians.
 
 type hotpathMicro struct {
 	Name        string  `json:"name"`
@@ -59,6 +60,8 @@ var hotpathRows = []struct{ name, bench, unit string }{
 	{"mlp_backward_batch8", "HotpathMLPBackwardBatch8", "ns/sample"},
 	{"mlp_train_step_batch32", "HotpathMLPTrainStepBatch32", "ns/op"},
 	{"mlp_quant_forward", "HotpathMLPQuantForward", "ns/op"},
+	{"mlp_forward_agent", "HotpathMLPForwardAgent", "ns/op"},
+	{"mlp_forward_agent_h24", "HotpathMLPForwardAgentHidden24", "ns/op"},
 }
 
 // benchLine matches one result line of a `go test -bench` transcript: the

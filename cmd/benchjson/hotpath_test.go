@@ -46,6 +46,8 @@ func TestConvertHotpath(t *testing.T) {
 		{"mlp_backward_batch8", 12500, 0},
 		{"mlp_train_step_batch32", 900000, 0},
 		{"mlp_quant_forward", 5000, 0},
+		{"mlp_forward_agent", 4000, 0},
+		{"mlp_forward_agent_h24", 800, 0},
 	}
 	if len(rep.Micro) != len(want) {
 		t.Fatalf("%d micro rows, want %d", len(rep.Micro), len(want))

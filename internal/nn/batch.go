@@ -18,13 +18,17 @@
 // computes C = I + A·B with strided A; the forward pass is z = b + x·w,
 // and the weight gradient gw += yᵀ·d reads y's columns in place as the A
 // rows, with the sample index as k. With AVX2, groups of 4 rows run
-// through a 4-row × 8-column tile and the rows left over — every row in
-// the agent's batch-of-one inference — through 1-row × 32-column strips,
-// their last n%32 columns through the 4×8 tile with all four rows set to
-// the one row. The tile masks its starting-value loads and its stores to
-// the live columns of a ragged right edge; it loads whole 8-column B
-// rows, for which weights and deltas carry spare capacity. Without AVX2
-// the same products run through a 1-row × 4-column tile in Go.
+// through a 4-row × 8-column tile. Every other row — the agent's
+// batch-of-one inference, and the rows%4 rows left over from the groups —
+// takes the 1-row path: the row's nonzero A values and the byte offsets
+// of their B rows are compacted into the network's scratch, and a 1-row ×
+// 32-column strip gathers only those B rows. The agent's state is mostly
+// one-hot and binary fields, so more than half of its inputs are exact
+// zeros that this path never multiplies. The tile and the strip mask their
+// starting-value loads and their stores to the live columns of a ragged
+// right edge; they load whole B rows, for which weights and deltas carry
+// spare capacity. Without AVX2 the same products run, dense, through a
+// 1-row × 4-column tile in Go.
 package nn
 
 import (
@@ -48,6 +52,51 @@ func (m *MLP) EnsureBatch(b int) {
 		l.y = make([]float64, b*l.out)
 	}
 	m.batchCap = b
+	m.row = newRowScratch(max(m.maxIn(), b))
+}
+
+// rowScratch holds one A row compacted for the 1-row path: its nonzero
+// values and the byte offsets of the B rows they multiply. An MLP owns
+// one, sized for its widest layer input and its batch capacity (the k
+// extent of the forward and of the weight gradient).
+type rowScratch struct {
+	x   []float64
+	off []int64
+}
+
+func newRowScratch(n int) rowScratch {
+	return rowScratch{x: make([]float64, n), off: make([]int64, n)}
+}
+
+// compact stores the A row's values a[k*ak] for k < kn — the nonzero
+// ones, or all of them when keepAll is set — with the byte offsets k·bk·8
+// of their B rows, in ascending k, and returns how many it stored.
+func (s *rowScratch) compact(a []float64, kn, ak, bk int, keepAll bool) int {
+	x, off := s.x[:kn], s.off[:kn]
+	var keep uint64
+	if keepAll {
+		keep = 1
+	}
+	n := 0
+	for k := range x {
+		v := a[k*ak]
+		x[n], off[n] = v, int64(k*bk*8)
+		// n advances unless v is ±0 and keep is 0, without a branch: the
+		// zeros of the agent's state follow no pattern a predictor learns.
+		u := math.Float64bits(v) << 1
+		n += int((u|-u)>>63 | keep)
+	}
+	return n
+}
+
+// hasNegZero reports whether v holds a −0.
+func hasNegZero(v []float64) bool {
+	for _, x := range v {
+		if math.Float64bits(x) == 1<<63 {
+			return true
+		}
+	}
+	return false
 }
 
 // ForwardBatch runs inference on b row-major inputs (len(xs) must be
@@ -69,7 +118,7 @@ func (m *MLP) ForwardBatch(xs []float64, b int) []float64 {
 	cur := xs
 	for _, l := range m.layers {
 		z := l.z[:b*l.out]
-		gemm(z, l.b, cur, l.w, b, l.out, l.in, l.out, 0, l.in, 1, l.out)
+		gemm(&m.row, z, l.b, cur, l.w, b, l.out, l.in, l.out, 0, l.in, 1, l.out)
 		applyAct(l.act, l.y[:b*l.out], z)
 		cur = l.y[:b*l.out]
 	}
@@ -97,16 +146,19 @@ func applyAct(act Activation, y, z []float64) {
 	}
 }
 
-// laneMask holds 8 all-ones lane masks followed by 8 zero masks:
-// &laneMask[8-n] is a mask whose first n lanes are set.
-var laneMask = [16]int64{-1, -1, -1, -1, -1, -1, -1, -1}
+// laneMask holds 32 all-ones lane masks followed by 32 zero masks:
+// &laneMask[32-n] is a mask whose first n lanes are set.
+var laneMask = [64]int64{
+	-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+	-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+}
 
 // bSlack is the spare capacity past its length that every B operand of
 // gemm — a weight matrix or a delta matrix — carries (newMLP and
-// ensureTrain allocate them so). The 4×8 tile loads all 8 columns of a
-// B row and discards the lanes past n, so the last row of a ragged tile
-// reads up to 7 elements past its end.
-const bSlack = 7
+// ensureTrain allocate them so). The kernels load whole B rows, 8
+// columns in the tile and 32 in the strip, and discard the lanes past n,
+// so the last row of a ragged strip reads up to 31 elements past its end.
+const bSlack = 31
 
 // gemm computes, for r < rows and o < n,
 //
@@ -114,9 +166,15 @@ const bSlack = 7
 //
 // with each accumulator adding its terms in ascending k. init may alias c
 // (ldi = ldc: accumulate into c) or be one shared row (ldi = 0: a bias).
-// kn ≥ 1. The AVX2 and Go kernels give bit-identical results; the
-// dispatch is a speed choice only, and the equivalence tests run both.
-func gemm(c, init, a, b []float64, rows, n, kn, ldc, ldi, ar, ak, bk int) {
+// kn ≥ 1, and s holds at least kn entries. Every element of B must be
+// finite: the 1-row path skips the terms of a zero A value, which leaves
+// an accumulator unchanged only because x·w = ±0 for x = ±0 and finite w.
+// Adding ±0 leaves every value but −0 unchanged, and an accumulator is −0
+// only while its start is −0 and every term so far was −0, so a row whose
+// init holds a −0 keeps all its terms. The AVX2 and Go kernels give
+// bit-identical results; the dispatch is a speed choice only, and the
+// equivalence tests run both.
+func gemm(s *rowScratch, c, init, a, b []float64, rows, n, kn, ldc, ldi, ar, ak, bk int) {
 	// Bounds: the last element each operand's strides reach, and B's
 	// slack.
 	_ = c[(rows-1)*ldc+n-1]
@@ -130,23 +188,19 @@ func gemm(c, init, a, b []float64, rows, n, kn, ldc, ldi, ar, ak, bk int) {
 	// Column blocks outermost: a block of B (kn rows of 8 columns) stays
 	// in L1 while every 4-row group of A sweeps it.
 	for o := 0; o < n; o += 8 {
-		mask := &laneMask[8-min(8, n-o)]
+		mask := &laneMask[32-min(8, n-o)]
 		for r := 0; r+4 <= rows; r += 4 {
 			gemm4x8avx2(&c[r*ldc+o], &init[r*ldi+o], &a[r*ar], &b[o], mask,
 				int64(kn), int64(ldc), int64(ldi), int64(ar), int64(ak), int64(bk))
 		}
 	}
-	// Leftover rows: 32-column strips, then the last n%32 columns as 4×8
-	// tiles whose four rows are all this row (strides 0), each storing the
-	// same values.
+	// The 1-row path: compact the row once, then gather its B rows strip
+	// by strip.
 	for r := rows &^ 3; r < rows; r++ {
-		o := 0
-		for ; o+32 <= n; o += 32 {
-			gemm1x32avx2(&c[r*ldc+o], &init[r*ldi+o], &a[r*ar], &b[o], int64(kn), int64(ak), int64(bk))
-		}
-		for ; o < n; o += 8 {
-			gemm4x8avx2(&c[r*ldc+o], &init[r*ldi+o], &a[r*ar], &b[o], &laneMask[8-min(8, n-o)],
-				int64(kn), 0, 0, 0, int64(ak), int64(bk))
+		crow, irow := c[r*ldc:r*ldc+n], init[r*ldi:r*ldi+n]
+		nz := int64(s.compact(a[r*ar:], kn, ak, bk, hasNegZero(irow)))
+		for o := 0; o < n; o += 32 {
+			gemm1x32gather(&crow[o], &irow[o], &b[o], &s.x[0], &s.off[0], nz, &laneMask[32-min(32, n-o)])
 		}
 	}
 }
@@ -205,7 +259,7 @@ func (m *MLP) BackwardBatch(targets []float64, b int) {
 		if li > 0 {
 			prevY = m.layers[li-1].y[:b*l.in]
 		}
-		accumGrads(l, prevY, b)
+		accumGrads(&m.row, l, prevY, b)
 		if li > 0 {
 			propagateDeltas(l, m.layers[li-1], b)
 		}
@@ -234,14 +288,16 @@ var one = [1]float64{1}
 // gw[i][o] += Σ_r prevY[r][i]·d[r][o] and gb[o] += Σ_r d[r][o], with r
 // strictly ascending per cell, as two gemm calls: the rows of the first
 // are the inputs i, read in place as columns of prevY. BackwardRef skips
-// a sample whose delta is zero; here it adds d·y = ±0 instead. That is
-// the same value: a gradient cell is never −0 (it starts at +0, and a
-// rounded sum is −0 only when both addends are), so adding ±0 leaves it
-// unchanged, and y is finite, so d·y is never NaN. 1·d is exactly d.
-func accumGrads(l *layer, prevY []float64, b int) {
+// a sample whose delta is zero; here it adds d·y = ±0 instead, and the
+// 1-row path (the in%4 inputs past the last 4-row group, and the bias
+// row) skips the samples whose y is zero. Both give the same value: a
+// gradient cell is never −0 (it starts at +0, and a rounded sum is −0
+// only when both addends are), so adding ±0 leaves it unchanged, and y
+// and d are finite, so d·y is never NaN. 1·d is exactly d.
+func accumGrads(s *rowScratch, l *layer, prevY []float64, b int) {
 	in, out := l.in, l.out
-	gemm(l.gw, l.gw, prevY, l.d, in, out, b, out, out, 1, in, out)
-	gemm(l.gb, l.gb, one[:], l.d, 1, out, b, 0, 0, 0, 0, out)
+	gemm(s, l.gw, l.gw, prevY, l.d, in, out, b, out, out, 1, in, out)
+	gemm(s, l.gb, l.gb, one[:], l.d, 1, out, b, 0, 0, 0, 0, out)
 }
 
 // propagateDeltas computes the previous layer's batch deltas:

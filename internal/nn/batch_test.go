@@ -527,11 +527,12 @@ func TestAccumGradsMatchesSkippingReference(t *testing.T) {
 				wantB[o] += d
 			}
 		}
+		rs := newRowScratch(b)
 		for _, vec := range paths {
 			useAVX2 = vec
 			copy(l.gw, g0)
 			copy(l.gb, gb0)
-			accumGrads(l, y, b)
+			accumGrads(&rs, l, y, b)
 			for i := range want {
 				if !bitsEqual(l.gw[i], want[i]) {
 					t.Fatalf("trial %d avx2=%v gw[%d]: %x, skipping loop %x",

@@ -18,12 +18,18 @@ func cpuidAVX2() bool
 //go:noescape
 func gemm4x8avx2(c, init, a, b *float64, mask *int64, kn, ldc, ldi, ar, ak, bk int64)
 
-// gemm1x32avx2 is a 1-row × 32-column strip of the same product, all
-// columns live: c[o] = init[o] + Σ_{k<kn} a[k*ak]·b[k*bk+o] for o < 32.
-// Implemented in matmul_amd64.s.
+// gemm1x32gather is the 1-row path's strip of the same product over a
+// compacted A row: for the columns o < 32 whose mask lane is set,
+// c[o] = init[o] + Σ_{j<nnz} x[j]·b[off[j]/8+o], where off[j] is the byte
+// offset of the B row that x[j] multiplies. Each lane adds its terms in
+// list order with separate VMULPD/VADDPD. mask points at 32 lane masks;
+// masked-off columns of c and init are neither read nor written, but all
+// 32 columns of each listed B row are read (16 when lane 16 is clear,
+// and the strip then runs on half its accumulators). nnz may be 0
+// (c = init). Implemented in matmul_amd64.s.
 //
 //go:noescape
-func gemm1x32avx2(c, init, a, b *float64, kn, ak, bk int64)
+func gemm1x32gather(c, init, b, x *float64, off *int64, nnz int64, mask *int64)
 
 // adamAVX2 is the vector body of adam over the first n elements (a
 // positive multiple of 4), four parameters per vector with the scalar

@@ -1,13 +1,15 @@
 // AVX2 kernels for the forward pass, the weight-gradient accumulation
 // and the Adam update. Bit-identity contract: every vector lane performs
 // exactly the IEEE-754 operations of the scalar Go code, in the same
-// order. In the tile kernels a lane is one accumulator — an output
+// order. In the two product kernels a lane is one accumulator — an output
 // pre-activation or a weight-gradient cell — that starts at its bias or
-// stored value and adds A[r][k]*B[k][o] terms in strictly ascending k; in
-// the Adam kernel a lane is one parameter. Products and sums are separate VMULPD and VADDPD
-// instructions, never FMA: fusing would drop the intermediate rounding
-// step and change results in the last ulp. VDIVPD and VSQRTPD are
-// correctly rounded, like their scalar counterparts.
+// stored value and adds A[r][k]*B[k][o] terms in strictly ascending k:
+// every k in the 4×8 tile, and in the 1-row gather strip the k whose A
+// value is nonzero (gemm says why dropping a ±0 term is exact). In the
+// Adam kernel a lane is one parameter. Products and sums are separate
+// VMULPD and VADDPD instructions, never FMA: fusing would drop the
+// intermediate rounding step and change results in the last ulp. VDIVPD
+// and VSQRTPD are correctly rounded, like their scalar counterparts.
 
 #include "textflag.h"
 
@@ -133,61 +135,111 @@ tloop:
 	VZEROUPPER
 	RET
 
-// func gemm1x32avx2(c, init, a, b *float64, kn, ak, bk int64)
+// func gemm1x32gather(c, init, b, x *float64, off *int64, nnz int64, mask *int64)
 //
-// A 1-row × 32-column strip of C = I + A·B: eight vector accumulators
-// Y0..Y7, each k one broadcast of A[k] and eight mul+add pairs on eight
-// independent chains.
-TEXT ·gemm1x32avx2(SB), NOSPLIT, $0-56
-	MOVQ    init+8(FP), SI
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	VMOVUPD 64(SI), Y2
-	VMOVUPD 96(SI), Y3
-	VMOVUPD 128(SI), Y4
-	VMOVUPD 160(SI), Y5
-	VMOVUPD 192(SI), Y6
-	VMOVUPD 224(SI), Y7
-	MOVQ    a+16(FP), R8
-	MOVQ    b+24(FP), R9
-	MOVQ    kn+32(FP), CX
-	MOVQ    ak+40(FP), AX
-	SHLQ    $3, AX
-	MOVQ    bk+48(FP), BX
-	SHLQ    $3, BX
+// A 1-row × 32-column strip of C = I + A·B over a compacted A row: eight
+// vector accumulators Y0..Y7, and per listed term one broadcast of x[j],
+// one load of its B row's byte offset and eight mul+add pairs on eight
+// independent chains. When at most 16 columns are live (mask lane 16 is
+// clear: a 16-output layer, or the last strip of a 175-output one), the
+// strip runs on Y0..Y3 alone, half the multiplies and adds per term. The
+// mask has one vector per accumulator, more than the free registers
+// hold, so each is loaded into Y8 just before the masked init load or
+// store that uses it. The B loads are not masked (see gemm); the lanes
+// past the mask are computed and discarded.
+TEXT ·gemm1x32gather(SB), NOSPLIT, $0-56
+	MOVQ       mask+48(FP), AX
+	MOVQ       init+8(FP), SI
+	MOVQ       b+16(FP), R9
+	MOVQ       x+24(FP), R8
+	MOVQ       off+32(FP), DX
+	MOVQ       nnz+40(FP), CX
+	MOVQ       c+0(FP), DI
+	VMOVDQU    (AX), Y8
+	VMASKMOVPD (SI), Y8, Y0
+	VMOVDQU    32(AX), Y8
+	VMASKMOVPD 32(SI), Y8, Y1
+	VMOVDQU    64(AX), Y8
+	VMASKMOVPD 64(SI), Y8, Y2
+	VMOVDQU    96(AX), Y8
+	VMASKMOVPD 96(SI), Y8, Y3
+	CMPQ       128(AX), $0
+	JEQ        half
+	VMOVDQU    128(AX), Y8
+	VMASKMOVPD 128(SI), Y8, Y4
+	VMOVDQU    160(AX), Y8
+	VMASKMOVPD 160(SI), Y8, Y5
+	VMOVDQU    192(AX), Y8
+	VMASKMOVPD 192(SI), Y8, Y6
+	VMOVDQU    224(AX), Y8
+	VMASKMOVPD 224(SI), Y8, Y7
+	TESTQ      CX, CX
+	JZ         store8
 
-rloop:
+loop8:
 	VBROADCASTSD (R8), Y8
-	VMULPD       (R9), Y8, Y9
+	MOVQ         (DX), BX
+	VMULPD       (R9)(BX*1), Y8, Y9
 	VADDPD       Y9, Y0, Y0
-	VMULPD       32(R9), Y8, Y10
+	VMULPD       32(R9)(BX*1), Y8, Y10
 	VADDPD       Y10, Y1, Y1
-	VMULPD       64(R9), Y8, Y11
+	VMULPD       64(R9)(BX*1), Y8, Y11
 	VADDPD       Y11, Y2, Y2
-	VMULPD       96(R9), Y8, Y12
+	VMULPD       96(R9)(BX*1), Y8, Y12
 	VADDPD       Y12, Y3, Y3
-	VMULPD       128(R9), Y8, Y9
-	VADDPD       Y9, Y4, Y4
-	VMULPD       160(R9), Y8, Y10
-	VADDPD       Y10, Y5, Y5
-	VMULPD       192(R9), Y8, Y11
-	VADDPD       Y11, Y6, Y6
-	VMULPD       224(R9), Y8, Y12
-	VADDPD       Y12, Y7, Y7
-	ADDQ         AX, R8
-	ADDQ         BX, R9
+	VMULPD       128(R9)(BX*1), Y8, Y13
+	VADDPD       Y13, Y4, Y4
+	VMULPD       160(R9)(BX*1), Y8, Y14
+	VADDPD       Y14, Y5, Y5
+	VMULPD       192(R9)(BX*1), Y8, Y15
+	VADDPD       Y15, Y6, Y6
+	VMULPD       224(R9)(BX*1), Y8, Y9
+	VADDPD       Y9, Y7, Y7
+	ADDQ         $8, R8
+	ADDQ         $8, DX
 	DECQ         CX
-	JNZ          rloop
+	JNZ          loop8
 
-	MOVQ    c+0(FP), DI
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VMOVUPD Y4, 128(DI)
-	VMOVUPD Y5, 160(DI)
-	VMOVUPD Y6, 192(DI)
-	VMOVUPD Y7, 224(DI)
+store8:
+	VMOVDQU    128(AX), Y8
+	VMASKMOVPD Y4, Y8, 128(DI)
+	VMOVDQU    160(AX), Y8
+	VMASKMOVPD Y5, Y8, 160(DI)
+	VMOVDQU    192(AX), Y8
+	VMASKMOVPD Y6, Y8, 192(DI)
+	VMOVDQU    224(AX), Y8
+	VMASKMOVPD Y7, Y8, 224(DI)
+	JMP        store4
+
+half:
+	TESTQ CX, CX
+	JZ    store4
+
+loop4:
+	VBROADCASTSD (R8), Y8
+	MOVQ         (DX), BX
+	VMULPD       (R9)(BX*1), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       32(R9)(BX*1), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       64(R9)(BX*1), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       96(R9)(BX*1), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	ADDQ         $8, R8
+	ADDQ         $8, DX
+	DECQ         CX
+	JNZ          loop4
+
+store4:
+	VMOVDQU    (AX), Y8
+	VMASKMOVPD Y0, Y8, (DI)
+	VMOVDQU    32(AX), Y8
+	VMASKMOVPD Y1, Y8, 32(DI)
+	VMOVDQU    64(AX), Y8
+	VMASKMOVPD Y2, Y8, 64(DI)
+	VMOVDQU    96(AX), Y8
+	VMASKMOVPD Y3, Y8, 96(DI)
 	VZEROUPPER
 	RET
 

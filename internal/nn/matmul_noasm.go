@@ -8,8 +8,8 @@ func gemm4x8avx2(c, init, a, b *float64, mask *int64, kn, ldc, ldi, ar, ak, bk i
 	panic("nn: gemm4x8avx2 called without AVX2 support")
 }
 
-func gemm1x32avx2(c, init, a, b *float64, kn, ak, bk int64) {
-	panic("nn: gemm1x32avx2 called without AVX2 support")
+func gemm1x32gather(c, init, b, x *float64, off *int64, nnz int64, mask *int64) {
+	panic("nn: gemm1x32gather called without AVX2 support")
 }
 
 func adamAVX2(w, grad, mo, ve *float64, n int64, lr, inv, bc1, bc2, b1, c1, b2, c2, eps float64) {
