@@ -39,7 +39,8 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/nn
 
 # Runs the hot-path benchmarks five times (oracle query, simulator step,
-# chain-driven Belady replay, MLP forward/backward/training step) and
+# chain-driven Belady, RLR and Hawkeye replays, MLP forward/backward/
+# training step) and
 # regenerates BENCH_hotpath.json from the medians. The transcript goes to
 # a file first, so a failing go test fails the target.
 bench:
@@ -114,9 +115,10 @@ bench-server:
 # policy against its reference model (exits nonzero with a minimized,
 # replayable counterexample on divergence), the policy/simulator suites
 # with the always-on invariant checker compiled in, and a short fuzz smoke
-# over the four native fuzz targets (the stamp-derived cache ages and
-# recency against the eager reference counters, and the oracle's cursor
-# and rewind against a naive forward scan, among them).
+# over the five native fuzz targets (the stamp-derived cache ages and
+# recency against the eager reference counters, the oracle's cursor and
+# rewind against a naive forward scan, and Hawkeye's OPTgen history table
+# against the map-based sampler it replaced, among them).
 check:
 	$(GO) run ./cmd/check
 	$(GO) test -tags simcheck ./internal/cachesim ./internal/policy ./internal/refmodel
@@ -124,6 +126,7 @@ check:
 	$(GO) test -run='^$$' -fuzz=FuzzSimulatorInvariants -fuzztime=15s ./internal/cachesim
 	$(GO) test -run='^$$' -fuzz=FuzzStampsMatchEager -fuzztime=15s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzOracleChainVsMap -fuzztime=15s ./internal/policy
+	$(GO) test -run='^$$' -fuzz=FuzzOptGenTableVsMap -fuzztime=15s ./internal/policy
 
 # Regenerates testdata/flag_ledger.txt (every CLI flag, with the
 # invocation that sets it or the reason it stays; scripts/flag_ledger.sh)

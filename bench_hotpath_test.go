@@ -1,6 +1,6 @@
 // bench_hotpath_test.go measures the simulator's per-access hot path:
 // oracle next-use queries, one simulator step, and end-to-end trace
-// replays under the chain-driven Belady and under RLR. The agent
+// replays under the chain-driven Belady, under RLR and under Hawkeye. The agent
 // network's rows live in internal/nn/hotpath_test.go. Run
 //
 //	go test -run '^$' -bench Hotpath -benchmem . ./internal/nn
@@ -113,5 +113,17 @@ func BenchmarkHotpathRLRReplay(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cachesim.RunPolicy(cfg, core.New(core.Optimized()), accesses)
+	}
+}
+
+// BenchmarkHotpathHawkeyeReplay replays the whole trace under Hawkeye, the
+// paper's cost baseline: OPTgen runs on every access to a sampled set, and
+// Init builds the predictor, the per-line state and the samplers.
+func BenchmarkHotpathHawkeyeReplay(b *testing.B) {
+	cfg, accesses, _ := hotpathSetup()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cachesim.RunPolicy(cfg, policy.NewHawkeye(), accesses)
 	}
 }

@@ -20,8 +20,9 @@ import (
 // read on stdin into BENCH_hotpath.json: the per-access inner loops
 // (oracle query, simulator step, NN forward/backward, and the agent's
 // batch-of-one forward on an agent-shaped input at hidden widths 175 and
-// 24), the end-to-end chain-driven Belady replay and the RLR replay
-// (micro row rlr_replay, ns per whole replay). Every figure is the median
+// 24), the end-to-end chain-driven Belady replay, and the RLR and Hawkeye
+// replays (micro rows rlr_replay and hawkeye_replay, ns per whole
+// replay). Every figure is the median
 // of its runs, and the speedup ratios are ratios of medians.
 
 type hotpathMicro struct {
@@ -51,6 +52,7 @@ var hotpathRows = []struct{ name, bench, unit string }{
 	{"oracle_nextuse_chain", "HotpathOracleNextUseChain", "ns/op"},
 	{"simulator_step", "HotpathSimulatorStep", "ns/op"},
 	{"rlr_replay", "HotpathRLRReplay", "ns/op"},
+	{"hawkeye_replay", "HotpathHawkeyeReplay", "ns/op"},
 	{"mlp_forward", "HotpathMLPForward", "ns/op"},
 	{"mlp_backward", "HotpathMLPBackward", "ns/op"},
 	{"mlp_forward_ref", "HotpathMLPForwardRef", "ns/op"},

@@ -37,6 +37,7 @@ func TestConvertHotpath(t *testing.T) {
 		{"oracle_nextuse_chain", 120, 0},
 		{"simulator_step", 115, 0},
 		{"rlr_replay", 22000000, 1031},
+		{"hawkeye_replay", 26000000, 120},
 		{"mlp_forward", 15000, 0},
 		{"mlp_backward", 39000, 0},
 		{"mlp_forward_ref", 100000, 0},

@@ -168,12 +168,32 @@ func New(cfg Config) *Cache {
 	for i := range c.sets {
 		s := &c.sets[i]
 		s.Lines = make([]Line, cfg.Ways)
-		for w := range s.Lines {
-			s.Lines[w].TouchedAt = uint64(w) // arbitrary initial total order
-		}
-		s.Clock = uint64(cfg.Ways)
+		s.initStamps()
 	}
 	return c
+}
+
+// Reset restores the exact state New leaves: every line zeroed and
+// invalid, every set counter zero, and the initial recency order. A
+// caller that replays many traces on one geometry reuses one cache
+// instead of allocating a new one per replay.
+func (c *Cache) Reset() {
+	for i := range c.sets {
+		s := &c.sets[i]
+		lines := s.Lines
+		clear(lines)
+		*s = Set{Lines: lines}
+		s.initStamps()
+	}
+}
+
+// initStamps gives the ways of a set with no accesses yet their initial
+// recency order.
+func (s *Set) initStamps() {
+	for w := range s.Lines {
+		s.Lines[w].TouchedAt = uint64(w) // arbitrary initial total order
+	}
+	s.Clock = uint64(len(s.Lines))
 }
 
 // Config returns the cache's geometry.

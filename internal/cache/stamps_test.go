@@ -366,3 +366,56 @@ func TestLineSize(t *testing.T) {
 		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want <= 88", got)
 	}
 }
+
+// TestResetMatchesNew: after a random replay, with hits, misses, fills,
+// bypasses and invalidations, Reset leaves the cache in the state New
+// does: the same checkpoint bytes and the same valid-line counts, which
+// the checkpoint does not hold.
+func TestResetMatchesNew(t *testing.T) {
+	rng := xrand.New(29)
+	for _, cfg := range []Config{{Sets: 8, Ways: 4, LineSize: 64}, {Sets: 16, Ways: 3, LineSize: 128}} {
+		c := New(cfg)
+		for trial := 0; trial < 3; trial++ {
+			for i := 0; i < 2000; i++ {
+				a := trace.Access{
+					PC:   rng.Uint64n(8),
+					Addr: rng.Uint64n(uint64(4*cfg.Sets*cfg.Ways)) * cfg.LineSize,
+					Type: trace.AccessType(rng.Intn(int(trace.NumAccessTypes))),
+				}
+				if rng.Intn(10) == 0 {
+					c.Invalidate(a.Addr)
+					continue
+				}
+				set, way, hit := c.Probe(a.Addr)
+				if hit {
+					c.RecordHit(set, way, a)
+					continue
+				}
+				c.RecordMissTouch(set)
+				if way = c.InvalidWay(set); way < 0 && rng.Intn(4) != 0 {
+					way = rng.Intn(cfg.Ways)
+				}
+				if way >= 0 {
+					c.Fill(set, way, a)
+				}
+			}
+			c.Reset()
+			fresh := New(cfg)
+			var got, want bytes.Buffer
+			if err := c.SaveState(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.SaveState(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%+v trial %d: state after Reset differs from New's", cfg, trial)
+			}
+			for i := range cfg.Sets {
+				if got, want := c.Set(uint32(i)).valid, fresh.Set(uint32(i)).valid; got != want {
+					t.Fatalf("%+v trial %d: set %d valid-line count %d after Reset, New %d", cfg, trial, i, got, want)
+				}
+			}
+		}
+	}
+}

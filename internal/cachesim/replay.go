@@ -124,8 +124,11 @@ func diffStats(cur, base Stats) Stats {
 	return d
 }
 
-// RunFramesPolicy is the streaming counterpart of RunPolicy: build a fresh
-// simulator for cfg/p and replay src frame by frame.
+// RunFramesPolicy is the streaming counterpart of RunPolicy: build a
+// simulator for cfg/p on a reset pooled cache and replay src frame by
+// frame.
 func RunFramesPolicy(cfg cache.Config, p policy.Policy, src trace.FrameSource) (Stats, error) {
-	return New(cfg, 1, p).RunFrames(src)
+	c := pooledCache(cfg)
+	defer cachePool.Put(c)
+	return newOnCache(c, 1, p).RunFrames(src)
 }

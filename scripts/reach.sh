@@ -129,6 +129,7 @@ internal/cachesim/cachesim.go:Simulator.SaveState checkpoint write (see cmd/rltr
 internal/cachesim/preuse.go:preuseTable.* checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/cachesim/invariants.go:* invariant checker built by -tags simcheck (make check runs those suites)
 internal/policy/*.go:*.CheckInvariants invariant checker built by -tags simcheck (make check runs those suites)
+internal/policy/hawkeye.go:optGenSet.check invariant checker built by -tags simcheck: Hawkeye.CheckInvariants calls it (make check runs those suites)
 internal/checkpoint/checkpoint.go:Save checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/checkpoint/checkpoint.go:*.Error error text for a corrupt or mismatched checkpoint
 internal/experiments/experiments.go:List cmd/experiments -list
