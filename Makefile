@@ -94,7 +94,7 @@ crash-smoke:
 # Observability smoke: short traced training run, then strict-validate the
 # run manifest (run_start + epoch telemetry + run_end) and the event trace
 # with obstool; a traced quick fig1 grid through cmd/experiments (its
-# trace validated too) and its tab1 CSV header.
+# trace validated too), its tab1 CSV header, and the fig3 -chart heat map.
 obs-smoke:
 	sh scripts/obs_smoke.sh
 

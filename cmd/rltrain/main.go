@@ -50,12 +50,14 @@ import (
 )
 
 // ckptKind/ckptVersion identify rltrain's checkpoint payload: a run
-// fingerprint followed by the trainer's serialized state. Version 2 stores
-// cache lines with their age and recency stamps and each set's promotion
-// clock; version 1 stored the eager age and recency counters.
+// fingerprint followed by the trainer's serialized state. Version 3 stores
+// one network and replay transitions without next states; version 2 also
+// stored a target network and each transition's next state; version 1
+// stored the eager age and recency counters in place of cache lines' age
+// and recency stamps and each set's promotion clock.
 const (
 	ckptKind    = "rltrain"
-	ckptVersion = 2
+	ckptVersion = 3
 )
 
 // saveCheckpoint atomically writes the trainer snapshot with the run

@@ -16,7 +16,7 @@ func smallOpts() rl.TrainOptions {
 	return rl.TrainOptions{
 		Agent: rl.AgentConfig{
 			Hidden: 16, Epsilon: 0.1, LearningRate: 3e-3, BatchSize: 16,
-			ReplayCap: 1024, MinReplay: 64, TrainEvery: 2, TargetSync: 128,
+			ReplayCap: 1024, MinReplay: 64, TrainEvery: 2,
 			Seed: 5, Features: rl.AllFeatures(),
 		},
 		Epochs: 3,

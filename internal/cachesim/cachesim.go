@@ -409,26 +409,47 @@ func (s *Simulator) Run(accesses []trace.Access) Stats {
 // RunPolicy is a convenience: build a simulator for cfg/p, replay
 // accesses, and return the statistics. The statistics are those of
 // New(cfg, 1, p).Run(accesses), but the simulator runs on a reset cache
-// from cachePool, so back-to-back replays on one geometry allocate no
+// from the free list, so back-to-back replays on one geometry allocate no
 // cache.
 func RunPolicy(cfg cache.Config, p policy.Policy, accesses []trace.Access) Stats {
 	c := pooledCache(cfg)
-	defer cachePool.Put(c)
+	defer releaseCache(c)
 	return newOnCache(c, 1, p).Run(accesses)
 }
 
-// cachePool holds caches that RunPolicy and RunFramesPolicy have finished
-// with. It keeps no geometry index: a pooled cache of another Config is
-// dropped, so a caller that alternates geometries allocates a cache per
-// replay.
-var cachePool sync.Pool
+// freeCaches holds caches that RunPolicy and RunFramesPolicy have finished
+// with. Each replay pops one and pushes one back, so the list never holds
+// more caches than replays ever ran at once, and unlike a sync.Pool it
+// keeps them across GC cycles and for every P. It keeps no geometry index:
+// a popped cache of another Config is dropped, so a caller that alternates
+// geometries allocates a cache per replay.
+var freeCaches struct {
+	sync.Mutex
+	list []*cache.Cache
+}
 
 // pooledCache returns a cache of geometry cfg in the state cache.New
-// leaves, reusing a pooled one when its geometry matches.
+// leaves, reusing the most recently released one when its geometry
+// matches.
 func pooledCache(cfg cache.Config) *cache.Cache {
-	if c, _ := cachePool.Get().(*cache.Cache); c != nil && c.Config() == cfg {
+	freeCaches.Lock()
+	var c *cache.Cache
+	if n := len(freeCaches.list); n > 0 {
+		c = freeCaches.list[n-1]
+		freeCaches.list[n-1] = nil
+		freeCaches.list = freeCaches.list[:n-1]
+	}
+	freeCaches.Unlock()
+	if c != nil && c.Config() == cfg {
 		c.Reset()
 		return c
 	}
 	return cache.New(cfg)
+}
+
+// releaseCache returns a cache taken with pooledCache to the free list.
+func releaseCache(c *cache.Cache) {
+	freeCaches.Lock()
+	freeCaches.list = append(freeCaches.list, c)
+	freeCaches.Unlock()
 }

@@ -103,9 +103,11 @@ func key(cfg cache.Config, name string) string {
 	return fmt.Sprintf("%s@%dx%d", name, cfg.Sets, cfg.Ways)
 }
 
-// TestRunPolicyReusesCache guards the pool: once warm, a RunPolicy replay
-// under LRU allocates its simulator, not a cache (a 64×16 cache is
-// ~90 KB of lines in 66 objects).
+// TestRunPolicyReusesCache guards the free list: once warm, a RunPolicy
+// replay under LRU allocates its simulator, not a cache (a 64×16 cache is
+// ~90 KB of lines in 66 objects), also when GC cycles run between
+// replays; and every llc-zoo policy, built afresh for each replay, keeps
+// its per-set state in a handful of objects.
 func TestRunPolicyReusesCache(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -113,7 +115,7 @@ func TestRunPolicyReusesCache(t *testing.T) {
 	cfg := poolGeometries[0]
 	accs := poolTrace(5, 4000)
 	lru := policy.MustNew("lru")
-	RunPolicy(cfg, lru, accs) // warm the pool
+	RunPolicy(cfg, lru, accs) // warm the free list
 	allocs := testing.AllocsPerRun(20, func() { RunPolicy(cfg, lru, accs) })
 	if allocs > 4 {
 		t.Errorf("RunPolicy allocates %.1f objects per replay, want at most 4", allocs)
@@ -122,10 +124,19 @@ func TestRunPolicyReusesCache(t *testing.T) {
 	const runs = 20
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
+		if i%4 == 0 {
+			runtime.GC()
+		}
 		RunPolicy(cfg, lru, accs)
 	}
 	runtime.ReadMemStats(&after)
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 4096 {
 		t.Errorf("RunPolicy allocates %d bytes per replay, want at most 4096", perRun)
+	}
+	for _, name := range []string{"lru", "drrip", "ship", "hawkeye", "rlr"} {
+		allocs := testing.AllocsPerRun(5, func() { RunPolicy(cfg, policy.MustNew(name), accs) })
+		if allocs > 16 {
+			t.Errorf("%s: RunPolicy with a new policy allocates %.1f objects per replay, want at most 16", name, allocs)
+		}
 	}
 }

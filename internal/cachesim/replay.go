@@ -129,6 +129,6 @@ func diffStats(cur, base Stats) Stats {
 // frame.
 func RunFramesPolicy(cfg cache.Config, p policy.Policy, src trace.FrameSource) (Stats, error) {
 	c := pooledCache(cfg)
-	defer cachePool.Put(c)
+	defer releaseCache(c)
 	return newOnCache(c, 1, p).RunFrames(src)
 }

@@ -154,7 +154,7 @@ var laneMask = [64]int64{
 }
 
 // bSlack is the spare capacity past its length that every B operand of
-// gemm — a weight matrix or a delta matrix — carries (newMLP and
+// gemm — a weight matrix or a delta matrix — carries (newLayer and
 // ensureTrain allocate them so). The kernels load whole B rows, 8
 // columns in the tile and 32 in the strip, and discard the lanes past n,
 // so the last row of a ragged strip reads up to 31 elements past its end.

@@ -87,8 +87,7 @@ type MLP struct {
 	// batchCap is the allocated scratch capacity in rows; batchCur the row
 	// count of the most recent forward pass (what Backward must match).
 	batchCap, batchCur int
-	// row is the 1-row path's compacted A row (see gemm); never shared
-	// between networks, so a Clone runs beside its source.
+	// row is the 1-row path's compacted A row (see gemm).
 	row rowScratch
 	// Adam step counter.
 	t int
@@ -105,7 +104,16 @@ type LayerSpec struct {
 // Weights are drawn output by output, each output's fan-in in ascending
 // input order.
 func NewMLP(inputs int, seed uint64, specs ...LayerSpec) *MLP {
-	m := newMLP(inputs, specs)
+	if inputs <= 0 || len(specs) == 0 {
+		panic("nn: NewMLP needs a positive input width and at least one layer")
+	}
+	var layers []*layer
+	in := inputs
+	for _, s := range specs {
+		layers = append(layers, newLayer(in, s))
+		in = s.Units
+	}
+	m := newNet(layers)
 	rng := xrand.New(seed)
 	for _, l := range m.layers {
 		scale := math.Sqrt(6.0 / float64(l.in+l.out))
@@ -116,21 +124,6 @@ func NewMLP(inputs int, seed uint64, specs ...LayerSpec) *MLP {
 		}
 	}
 	return m
-}
-
-// newMLP builds a network with zero weights and biases and no training
-// state.
-func newMLP(inputs int, specs []LayerSpec) *MLP {
-	if inputs <= 0 || len(specs) == 0 {
-		panic("nn: NewMLP needs a positive input width and at least one layer")
-	}
-	var layers []*layer
-	in := inputs
-	for _, s := range specs {
-		layers = append(layers, newLayer(in, s))
-		in = s.Units
-	}
-	return newNet(layers)
 }
 
 // newLayer builds a layer with zero weights and biases and scratch for
@@ -162,18 +155,6 @@ func (m *MLP) maxIn() int {
 		n = max(n, l.in)
 	}
 	return n
-}
-
-// Clone returns a copy of m's architecture, weights and biases, without
-// training state — the DQN target network.
-func (m *MLP) Clone() *MLP {
-	specs := make([]LayerSpec, len(m.layers))
-	for i, l := range m.layers {
-		specs[i] = LayerSpec{Units: l.out, Act: l.act}
-	}
-	c := newMLP(m.layers[0].in, specs)
-	c.CopyWeightsFrom(m)
-	return c
 }
 
 // ensureTrain gives every layer its training state, with delta scratch
@@ -284,22 +265,6 @@ func adam(w, g, mo, ve []float64, lr, inv, bc1, bc2 float64) {
 		mo[i] = adamBeta1*mo[i] + (1-adamBeta1)*gi
 		ve[i] = adamBeta2*ve[i] + (1-adamBeta2)*gi*gi
 		w[i] -= lr * (mo[i] / bc1) / (math.Sqrt(ve[i]/bc2) + adamEps)
-	}
-}
-
-// CopyWeightsFrom copies weights and biases from src (same architecture).
-// It is the DQN target-network sync.
-func (m *MLP) CopyWeightsFrom(src *MLP) {
-	if len(m.layers) != len(src.layers) {
-		panic("nn: architecture mismatch in CopyWeightsFrom")
-	}
-	for i, l := range m.layers {
-		s := src.layers[i]
-		if l.in != s.in || l.out != s.out {
-			panic("nn: layer shape mismatch in CopyWeightsFrom")
-		}
-		copy(l.w, s.w)
-		copy(l.b, s.b)
 	}
 }
 

@@ -161,21 +161,6 @@ func TestAdamLearnsRegression(t *testing.T) {
 	}
 }
 
-func TestCopyWeightsFrom(t *testing.T) {
-	a := NewMLP(3, 1, LayerSpec{Units: 4, Act: Tanh}, LayerSpec{Units: 2, Act: Linear})
-	b := NewMLP(3, 2, LayerSpec{Units: 4, Act: Tanh}, LayerSpec{Units: 2, Act: Linear})
-	x := []float64{0.5, -0.5, 1}
-	if same(a.Forward(x), append([]float64(nil), b.Forward(x)...)) {
-		t.Skip("different seeds produced identical nets (vanishingly unlikely)")
-	}
-	b.CopyWeightsFrom(a)
-	ya := append([]float64(nil), a.Forward(x)...)
-	yb := b.Forward(x)
-	if !same(ya, yb) {
-		t.Errorf("outputs differ after CopyWeightsFrom: %v vs %v", ya, yb)
-	}
-}
-
 func same(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -186,17 +171,6 @@ func same(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-func TestCopyWeightsArchMismatchPanics(t *testing.T) {
-	a := NewMLP(3, 1, LayerSpec{Units: 4, Act: Tanh})
-	b := NewMLP(3, 1, LayerSpec{Units: 5, Act: Tanh})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("architecture mismatch did not panic")
-		}
-	}()
-	b.CopyWeightsFrom(a)
 }
 
 func TestInputWeightAnalysis(t *testing.T) {

@@ -237,13 +237,3 @@ func TestRowPathWeightGradient(t *testing.T) {
 		}
 	}
 }
-
-// TestRowScratchNotShared: a Clone gets its own 1-row scratch, so a
-// network and its clone can run on two goroutines.
-func TestRowScratchNotShared(t *testing.T) {
-	m := NewMLP(40, 17, LayerSpec{Units: 24, Act: Tanh}, LayerSpec{Units: 4, Act: Linear})
-	c := m.Clone()
-	if &c.row.x[0] == &m.row.x[0] || &c.row.off[0] == &m.row.off[0] {
-		t.Fatal("Clone shares the 1-row scratch with its source")
-	}
-}

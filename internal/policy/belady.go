@@ -212,14 +212,7 @@ func (p *Belady) Init(cfg Config) {
 	if p.oracle == nil {
 		panic("policy: Belady requires an Oracle; construct with NewBelady")
 	}
-	flat := make([]uint64, cfg.Sets*cfg.Ways)
-	for i := range flat {
-		flat[i] = NeverUsed
-	}
-	p.nextUse = make([][]uint64, cfg.Sets)
-	for s := range p.nextUse {
-		p.nextUse[s] = flat[s*cfg.Ways : (s+1)*cfg.Ways]
-	}
+	p.nextUse = setRows(cfg, uint64(NeverUsed))
 }
 
 // Victim implements Policy: evict the line whose recorded next use is

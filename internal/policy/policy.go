@@ -31,6 +31,21 @@ type Config struct {
 	NumCores int // number of cores sharing this cache (>= 1)
 }
 
+// setRows returns one row of cfg.Ways values per set, each set to fill,
+// carved from one sets×ways slab so that a policy's per-set state is two
+// objects, not one per set.
+func setRows[T any](cfg Config, fill T) [][]T {
+	slab := make([]T, cfg.Sets*cfg.Ways)
+	for i := range slab {
+		slab[i] = fill
+	}
+	rows := make([][]T, cfg.Sets)
+	for i := range rows {
+		rows[i] = slab[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	}
+	return rows
+}
+
 // AccessCtx carries one LLC access plus the simulator-provided context a
 // policy may need: the global access sequence number (used by the Belady
 // oracle) and the set index.

@@ -26,15 +26,7 @@ type rripState struct {
 }
 
 func newRRIPState(cfg Config) rripState {
-	s := rripState{rrpv: make([][]uint8, cfg.Sets)}
-	for i := range s.rrpv {
-		row := make([]uint8, cfg.Ways)
-		for w := range row {
-			row[w] = rripMax
-		}
-		s.rrpv[i] = row
-	}
-	return s
+	return rripState{rrpv: setRows(cfg, uint8(rripMax))}
 }
 
 // victim returns the way with RRPV >= max, aging the whole set until one

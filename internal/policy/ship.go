@@ -58,10 +58,7 @@ func (p *SHiP) Init(cfg Config) {
 	for i := range p.shct {
 		p.shct[i] = shctInit
 	}
-	p.lines = make([][]shipLine, cfg.Sets)
-	for i := range p.lines {
-		p.lines[i] = make([]shipLine, cfg.Ways)
-	}
+	p.lines = setRows(cfg, shipLine{})
 }
 
 // Victim implements Policy. Before evicting, SHiP trains the SHCT down for
@@ -162,10 +159,7 @@ func (p *SHiPPP) Init(cfg Config) {
 	for i := range p.shct {
 		p.shct[i] = shctInit
 	}
-	p.lines = make([][]shipLine, cfg.Sets)
-	for i := range p.lines {
-		p.lines[i] = make([]shipLine, cfg.Ways)
-	}
+	p.lines = setRows(cfg, shipLine{})
 	if p.rng == nil {
 		p.rng = xrand.New(4)
 	}

@@ -15,32 +15,29 @@ import (
 type AgentConfig struct {
 	Hidden       int     // hidden-layer width (175 in the paper)
 	Epsilon      float64 // ε-greedy exploration rate (0.1)
-	Gamma        float64 // discount; the Belady reward is immediate, so 0 by default
 	LearningRate float64 // Adam step size
 	BatchSize    int     // replay minibatch size
 	ReplayCap    int     // replay memory entries
 	MinReplay    int     // decisions before training starts
 	TrainEvery   int     // decisions between minibatch updates
-	TargetSync   int     // decisions between target-network syncs
 	Seed         uint64
 	Features     FeatureSet
 }
 
 // DefaultAgentConfig returns the paper's configuration scaled for this
 // repository's compute budget: the 175-neuron hidden layer, tanh/linear
-// activations, ε = 0.1, experience replay, and a periodically synced
-// target network.
+// activations, ε = 0.1 and experience replay. The Belady reward is
+// immediate, so each sample's training target is its reward alone: no
+// discount, and no target network to bootstrap from.
 func DefaultAgentConfig() AgentConfig {
 	return AgentConfig{
 		Hidden:       175,
 		Epsilon:      0.1,
-		Gamma:        0,
 		LearningRate: 1e-3,
 		BatchSize:    32,
 		ReplayCap:    4096,
 		MinReplay:    256,
 		TrainEvery:   4,
-		TargetSync:   512,
 		Seed:         1,
 		Features:     AllFeatures(),
 	}
@@ -55,7 +52,7 @@ type Agent struct {
 	pcfg policy.Config
 	feat *Featurizer
 
-	q, tgt *nn.MLP
+	q      *nn.MLP
 	replay *Replay
 	rng    *xrand.Rand
 
@@ -71,28 +68,24 @@ type Agent struct {
 	pendingState  []float64
 	decisions     uint64
 
-	state  []float64
-	target []float64
-	batch  []Transition
+	state []float64
+	batch []Transition
 
 	// Batched-minibatch scratch: the whole replay minibatch gathered into
 	// row-major matrices for single ForwardBatch/BackwardBatch kernel
-	// calls. nextRow maps a sample to its row in the target-network batch
-	// (Gamma > 0 only), -1 when the sample has no next state.
+	// calls.
 	bstate  []float64
 	btarget []float64
-	bnext   []float64
-	nextRow []int
 
 	// qint8, when non-nil, scores Victim decisions with the frozen int8
 	// network. Evaluation-only: training decisions always use the float
 	// net, so SetInt8 never changes a training run.
 	qint8 *nn.Quantized
 
-	// scalarTrain forces the retained per-sample training step — a test
-	// hook for proving the batched step is byte-identical, never set in
-	// production paths.
-	scalarTrain bool
+	// stepFn, when non-nil, replaces the batched minibatch update. Tests
+	// set it to the per-sample reference step to prove the batched one
+	// byte-identical; production paths leave it nil.
+	stepFn func(*Agent)
 
 	// Telemetry accumulators, drained per epoch by TakeTelemetry. Plain
 	// float/integer adds on the decision and minibatch paths: no
@@ -136,24 +129,23 @@ func (a *Agent) SetOracle(o *policy.Oracle) { a.oracle = o }
 // SetTraining toggles learning (and ε-greedy exploration).
 func (a *Agent) SetTraining(on bool) { a.training = on }
 
-// Network returns the online Q-network (heat-map analysis reads it).
+// Network returns the Q-network (heat-map analysis reads it).
 func (a *Agent) Network() *nn.MLP { return a.q }
 
 // Featurizer returns the agent's featurizer (for slot mapping).
 func (a *Agent) Featurizer() *Featurizer { return a.feat }
 
-// SaveModel writes the online network to w.
+// SaveModel writes the network to w.
 func (a *Agent) SaveModel(w io.Writer) error { return a.q.Save(w) }
 
-// LoadModel replaces the online and target networks with the model from r.
-// The agent must already be Init-ed against a matching geometry.
+// LoadModel replaces the network with the model from r. The agent must
+// already be Init-ed against a matching geometry.
 func (a *Agent) LoadModel(r io.Reader) error {
 	m, err := nn.Load(r)
 	if err != nil {
 		return err
 	}
 	a.q = m
-	a.tgt.CopyWeightsFrom(m)
 	if a.qint8 != nil {
 		a.qint8 = nn.Quantize(a.q)
 	}
@@ -174,24 +166,18 @@ func (a *Agent) Init(cfg policy.Config) {
 		a.q = nn.NewMLP(size, a.cfg.Seed,
 			nn.LayerSpec{Units: a.cfg.Hidden, Act: nn.Tanh},
 			nn.LayerSpec{Units: cfg.Ways, Act: nn.Linear})
-		a.tgt = a.q.Clone()
 	}
 	a.state = make([]float64, size)
 	a.pendingState = make([]float64, size)
-	a.target = make([]float64, cfg.Ways)
 	a.bstate = make([]float64, a.cfg.BatchSize*size)
 	a.btarget = make([]float64, a.cfg.BatchSize*cfg.Ways)
-	if a.cfg.Gamma > 0 {
-		a.bnext = make([]float64, a.cfg.BatchSize*size)
-	}
-	a.nextRow = make([]int, a.cfg.BatchSize)
 	a.q.EnsureBatch(a.cfg.BatchSize)
 	a.qint8 = nil
 	a.pendingValid = false
 	a.sim = nil
 }
 
-// SetInt8 toggles frozen int8 inference: on freezes the current online
+// SetInt8 toggles frozen int8 inference: on freezes the current
 // network into an nn.Quantized copy used for greedy Victim scoring while
 // training is off; off returns to float inference. The copy is rebuilt by
 // LoadModel, so freeze-then-load stays coherent. Evaluation-only runs
@@ -233,16 +219,10 @@ func (a *Agent) Victim(ctx policy.AccessCtx, set *cache.Set) int {
 	}
 
 	if a.training && a.oracle != nil {
+		// A decision enters the replay ring one decision late, so the
+		// minibatch drawn below never includes the decision just made.
 		if a.pendingValid {
-			// The state just built is the pending decision's next state;
-			// Put copies both into the replay slot's recycled buffers. Only
-			// the Gamma > 0 bootstrap reads a next state, so without it the
-			// transition is stored as terminal.
-			var next []float64
-			if a.cfg.Gamma > 0 {
-				next = a.state
-			}
-			a.replay.Put(a.pendingState, a.pendingAction, a.pendingReward, next)
+			a.replay.Put(a.pendingState, a.pendingAction, a.pendingReward)
 		}
 		copy(a.pendingState, a.state)
 		a.pendingAction = action
@@ -253,9 +233,6 @@ func (a *Agent) Victim(ctx policy.AccessCtx, set *cache.Set) int {
 		a.telDecisions++
 		if a.replay.Len() >= a.cfg.MinReplay && a.decisions%uint64(a.cfg.TrainEvery) == 0 {
 			a.trainStep()
-		}
-		if a.decisions%uint64(a.cfg.TargetSync) == 0 {
-			a.tgt.CopyWeightsFrom(a.q)
 		}
 	}
 	return action
@@ -292,7 +269,7 @@ func (a *Agent) TakeTelemetry() Telemetry {
 // Epsilon returns the configured exploration rate (manifest telemetry).
 func (a *Agent) Epsilon() float64 { return a.cfg.Epsilon }
 
-// WeightNorm returns the online network's L2 weight norm, or 0 before Init.
+// WeightNorm returns the network's L2 weight norm, or 0 before Init.
 func (a *Agent) WeightNorm() float64 {
 	if a.q == nil {
 		return 0
@@ -323,16 +300,17 @@ func (a *Agent) reward(ctx policy.AccessCtx, set *cache.Set, action int) float64
 
 // trainStep runs one minibatch DQN update through the batched matrix
 // kernels: the whole minibatch's states go through one ForwardBatch, the
-// masked targets through one BackwardBatch. Byte-identical to the
-// retained per-sample trainStepScalar — the RNG draws are the same
-// Sample call, each forward row is bit-identical to a scalar Forward,
-// the loss sums squared errors in the same ascending sample order, and
-// BackwardBatch accumulates gradients in the order sequential Backward
-// calls would — so batching cannot change trained weights for a fixed
-// seed (TestBatchedTrainByteIdentical pins this).
+// masked targets through one BackwardBatch. Each target is the sample's
+// reward. Byte-identical to the per-sample reference step in the tests —
+// the RNG draws are the same Sample call, each forward row is
+// bit-identical to a scalar Forward, the loss sums squared errors in the
+// same ascending sample order, and BackwardBatch accumulates gradients in
+// the order sequential Backward calls would — so batching cannot change
+// trained weights for a fixed seed (TestBatchedTrainByteIdentical pins
+// this).
 func (a *Agent) trainStep() {
-	if a.scalarTrain {
-		a.trainStepScalar()
+	if a.stepFn != nil {
+		a.stepFn(a)
 		return
 	}
 	a.batch = a.replay.Sample(a.batch, a.cfg.BatchSize, a.rng)
@@ -342,25 +320,6 @@ func (a *Agent) trainStep() {
 	}
 	size := a.q.InputSize()
 	ways := a.q.OutputSize()
-
-	// Bootstrap terms from the target network, one batched forward over
-	// the samples that have a next state (Gamma > 0 runs only).
-	var nextOut []float64
-	if a.cfg.Gamma > 0 {
-		rows := 0
-		for i, tr := range a.batch {
-			a.nextRow[i] = -1
-			if len(tr.NextState) > 0 {
-				copy(a.bnext[rows*size:(rows+1)*size], tr.NextState)
-				a.nextRow[i] = rows
-				rows++
-			}
-		}
-		if rows > 0 {
-			nextOut = a.tgt.ForwardBatch(a.bnext[:rows*size], rows)
-		}
-	}
-
 	for i, tr := range a.batch {
 		copy(a.bstate[i*size:(i+1)*size], tr.State)
 	}
@@ -369,51 +328,18 @@ func (a *Agent) trainStep() {
 	out := a.q.ForwardBatch(a.bstate[:n*size], n)
 	loss := 0.0
 	for i, tr := range a.batch {
-		y := tr.Reward
-		if a.cfg.Gamma > 0 && a.nextRow[i] >= 0 {
-			r := a.nextRow[i]
-			y += a.cfg.Gamma * maxOf(nextOut[r*ways:(r+1)*ways])
-		}
-		d := y - out[i*ways+tr.Action]
+		d := tr.Reward - out[i*ways+tr.Action]
 		loss += d * d
 		row := a.btarget[i*ways : (i+1)*ways]
 		for j := range row {
 			row[j] = math.NaN()
 		}
-		row[tr.Action] = y
+		row[tr.Action] = tr.Reward
 	}
 	a.q.BackwardBatch(a.btarget[:n*ways], n)
 	a.q.AdamStep(a.cfg.LearningRate, n)
 	a.telLossSum += loss / float64(n)
 	a.telBatches++
-}
-
-// trainStepScalar is the pre-batching minibatch update, one sample at a
-// time. Kept as the equivalence oracle for the batched step (and as the
-// portable reference should the kernels ever be in doubt).
-func (a *Agent) trainStepScalar() {
-	a.batch = a.replay.Sample(a.batch, a.cfg.BatchSize, a.rng)
-	a.q.ZeroGrad()
-	loss := 0.0
-	for _, tr := range a.batch {
-		y := tr.Reward
-		if a.cfg.Gamma > 0 && len(tr.NextState) > 0 {
-			y += a.cfg.Gamma * maxOf(a.tgt.Forward(tr.NextState))
-		}
-		out := a.q.Forward(tr.State)
-		d := y - out[tr.Action]
-		loss += d * d
-		for i := range a.target {
-			a.target[i] = math.NaN()
-		}
-		a.target[tr.Action] = y
-		a.q.Backward(a.target)
-	}
-	a.q.AdamStep(a.cfg.LearningRate, len(a.batch))
-	if n := len(a.batch); n > 0 {
-		a.telLossSum += loss / float64(n)
-		a.telBatches++
-	}
 }
 
 func argmax(xs []float64) int {
@@ -424,16 +350,6 @@ func argmax(xs []float64) int {
 		}
 	}
 	return best
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // compile-time interface check

@@ -15,11 +15,10 @@ import (
 func TestReplayPutZeroAllocs(t *testing.T) {
 	r := NewReplay(64)
 	state := make([]float64, 32)
-	next := make([]float64, 32)
 	for i := 0; i < 2*64; i++ { // wrap the ring so every slot owns buffers
-		r.Put(state, i%4, 1, next)
+		r.Put(state, i%4, 1)
 	}
-	allocs := testing.AllocsPerRun(500, func() { r.Put(state, 1, -1, next) })
+	allocs := testing.AllocsPerRun(500, func() { r.Put(state, 1, -1) })
 	if allocs != 0 {
 		t.Errorf("Replay.Put allocates %.1f objects/op after warm-up, want 0", allocs)
 	}

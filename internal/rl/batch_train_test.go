@@ -2,6 +2,7 @@ package rl
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -18,22 +19,43 @@ import (
 // serialized state is the strongest form of "batching did not change
 // training".
 func TestBatchedTrainByteIdentical(t *testing.T) {
-	for _, gamma := range []float64{0, 0.9} {
-		cc, opts := trainCfg()
-		opts.Epochs = 2
-		opts.Agent.Gamma = gamma
-		accesses := cyclicTrace(6, 50)
+	cc, opts := trainCfg()
+	opts.Epochs = 2
+	accesses := cyclicTrace(6, 50)
 
-		batched := NewTrainer(cc, accesses, opts)
-		scalar := NewTrainer(cc, accesses, opts)
-		scalar.Agent().scalarTrain = true
+	batched := NewTrainer(cc, accesses, opts)
+	scalar := NewTrainer(cc, accesses, opts)
+	scalar.Agent().stepFn = (*Agent).trainStepScalar
 
-		got := finalState(t, batched)
-		want := finalState(t, scalar)
-		if !bytes.Equal(got, want) {
-			t.Errorf("gamma=%.1f: batched and scalar training states differ (%d vs %d bytes)",
-				gamma, len(got), len(want))
+	got := finalState(t, batched)
+	want := finalState(t, scalar)
+	if !bytes.Equal(got, want) {
+		t.Errorf("batched and scalar training states differ (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// trainStepScalar is the pre-batching minibatch update, one sample at a
+// time: the equivalence oracle for the batched trainStep (and the portable
+// reference should the kernels ever be in doubt).
+func (a *Agent) trainStepScalar() {
+	a.batch = a.replay.Sample(a.batch, a.cfg.BatchSize, a.rng)
+	target := make([]float64, a.q.OutputSize())
+	a.q.ZeroGrad()
+	loss := 0.0
+	for _, tr := range a.batch {
+		out := a.q.Forward(tr.State)
+		d := tr.Reward - out[tr.Action]
+		loss += d * d
+		for i := range target {
+			target[i] = math.NaN()
 		}
+		target[tr.Action] = tr.Reward
+		a.q.Backward(target)
+	}
+	a.q.AdamStep(a.cfg.LearningRate, len(a.batch))
+	if n := len(a.batch); n > 0 {
+		a.telLossSum += loss / float64(n)
+		a.telBatches++
 	}
 }
 
@@ -48,7 +70,9 @@ func TestTracedDecisionsIdenticalUnderBatchedTraining(t *testing.T) {
 
 	runTraced := func(scalarStep bool) ([]obs.CacheEvent, cachesim.Stats) {
 		tr := NewTrainer(cc, accesses, opts)
-		tr.Agent().scalarTrain = scalarStep
+		if scalarStep {
+			tr.Agent().stepFn = (*Agent).trainStepScalar
+		}
 		tr.Run()
 		agent := tr.Finish()
 		ring := obs.NewRing[obs.CacheEvent](len(accesses))

@@ -34,39 +34,34 @@ type digestCase struct {
 	mid      int // steps before the mid-run snapshot
 }
 
-// digestCases covers two seeds and Gamma 0 and 0.5 (Gamma > 0 runs the
-// target network's batched forward) on two shapes: a small net whose
-// widths and minibatch leave ragged tile edges, and the paper's 334-175-16
-// net on a 16-way set.
+// digestCases covers two seeds on two shapes: a small net whose widths
+// and minibatch leave ragged tile edges, and the paper's 334-175-16 net on
+// a 16-way set.
 func digestCases() []digestCase {
 	var cases []digestCase
 	for _, seed := range []uint64{7, 11} {
-		for _, gamma := range []float64{0, 0.5} {
-			small := TrainOptions{
-				Agent: AgentConfig{
-					Hidden: 27, Epsilon: 0.1, Gamma: gamma, LearningRate: 3e-3,
-					BatchSize: 10, ReplayCap: 2048, MinReplay: 40,
-					TrainEvery: 2, TargetSync: 64, Seed: seed, Features: AllFeatures(),
-				},
-				Epochs: 2,
-			}
-			cases = append(cases, digestCase{
-				name: fmt.Sprintf("small/seed=%d/gamma=%g", seed, gamma),
-				cc:   cache.Config{Sets: 2, Ways: 4, LineSize: 64},
-				opts: small, accesses: cyclicTrace(6, 50), mid: 437,
-			})
-			paper := DefaultTrainOptions()
-			paper.Agent.Seed = seed
-			paper.Agent.Gamma = gamma
-			paper.Agent.MinReplay = 64
-			paper.Agent.TargetSync = 128
-			paper.Epochs = 1
-			cases = append(cases, digestCase{
-				name: fmt.Sprintf("paper/seed=%d/gamma=%g", seed, gamma),
-				cc:   cache.Config{Sets: 2, Ways: 16, LineSize: 64},
-				opts: paper, accesses: cyclicTrace(20, 40), mid: 500,
-			})
+		small := TrainOptions{
+			Agent: AgentConfig{
+				Hidden: 27, Epsilon: 0.1, LearningRate: 3e-3,
+				BatchSize: 10, ReplayCap: 2048, MinReplay: 40,
+				TrainEvery: 2, Seed: seed, Features: AllFeatures(),
+			},
+			Epochs: 2,
 		}
+		cases = append(cases, digestCase{
+			name: fmt.Sprintf("small/seed=%d", seed),
+			cc:   cache.Config{Sets: 2, Ways: 4, LineSize: 64},
+			opts: small, accesses: cyclicTrace(6, 50), mid: 437,
+		})
+		paper := DefaultTrainOptions()
+		paper.Agent.Seed = seed
+		paper.Agent.MinReplay = 64
+		paper.Epochs = 1
+		cases = append(cases, digestCase{
+			name: fmt.Sprintf("paper/seed=%d", seed),
+			cc:   cache.Config{Sets: 2, Ways: 16, LineSize: 64},
+			opts: paper, accesses: cyclicTrace(20, 40), mid: 500,
+		})
 	}
 	return cases
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // Transition is one replacement decision stored for experience replay
-// (§III-A): ⟨state, action, next state, reward⟩.
+// (§III-A): ⟨state, action, reward⟩. The Belady reward is immediate, so no
+// next state is kept.
 type Transition struct {
-	State     []float64
-	Action    int
-	Reward    float64
-	NextState []float64 // nil/empty for terminal transitions
+	State  []float64
+	Action int
+	Reward float64
 }
 
 // Replay is the bounded circular replay memory: the oldest transaction is
@@ -34,16 +34,14 @@ func NewReplay(capacity int) *Replay {
 	return &Replay{buf: make([]Transition, capacity)}
 }
 
-// Put stores a transition by copying state and nextState into the evicted
-// slot's recycled buffers: after the ring has been around once, Put does no
-// heap allocation. A nil or empty nextState marks a terminal transition
-// (stored with length 0).
-func (r *Replay) Put(state []float64, action int, reward float64, nextState []float64) {
+// Put stores a transition by copying state into the evicted slot's
+// recycled buffer: after the ring has been around once, Put does no heap
+// allocation.
+func (r *Replay) Put(state []float64, action int, reward float64) {
 	t := &r.buf[r.next]
 	t.State = append(t.State[:0], state...)
 	t.Action = action
 	t.Reward = reward
-	t.NextState = append(t.NextState[:0], nextState...)
 	r.advance()
 }
 
@@ -63,22 +61,26 @@ func (r *Replay) Len() int {
 	return r.next
 }
 
+// replayHead is the fixed-size head of a saved ring; slotTail follows
+// each slot's state vector. binary.Write encodes their fields in
+// declaration order, little-endian, with no padding.
+type replayHead struct{ Cap, Next, Full uint64 }
+
+type slotTail struct {
+	Action int64
+	Reward float64
+}
+
 // saveState serializes the ring: capacity, cursor, fill flag, and every
 // stored transition. Unused slots write zero-length vectors, so the loaded
 // ring recycles buffers exactly like the saved one did.
 func (r *Replay) saveState(w io.Writer) error {
 	le := binary.LittleEndian
-	if err := binary.Write(w, le, uint64(len(r.buf))); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, uint64(r.next)); err != nil {
-		return err
-	}
-	full := uint64(0)
+	h := replayHead{Cap: uint64(len(r.buf)), Next: uint64(r.next)}
 	if r.full {
-		full = 1
+		h.Full = 1
 	}
-	if err := binary.Write(w, le, full); err != nil {
+	if err := binary.Write(w, le, &h); err != nil {
 		return err
 	}
 	for i := range r.buf {
@@ -89,16 +91,7 @@ func (r *Replay) saveState(w io.Writer) error {
 		if err := binary.Write(w, le, t.State); err != nil {
 			return err
 		}
-		if err := binary.Write(w, le, int64(t.Action)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, t.Reward); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, uint64(len(t.NextState))); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, t.NextState); err != nil {
+		if err := binary.Write(w, le, slotTail{int64(t.Action), t.Reward}); err != nil {
 			return err
 		}
 	}
@@ -108,24 +101,19 @@ func (r *Replay) saveState(w io.Writer) error {
 // loadState restores a ring saved with saveState. The capacity must match.
 func (r *Replay) loadState(rd io.Reader) error {
 	le := binary.LittleEndian
-	var cap64, next64, full64 uint64
-	if err := binary.Read(rd, le, &cap64); err != nil {
+	var h replayHead
+	if err := binary.Read(rd, le, &h); err != nil {
 		return err
 	}
-	if int(cap64) != len(r.buf) {
-		return fmt.Errorf("rl: replay state capacity %d, ring has %d", cap64, len(r.buf))
+	if int(h.Cap) != len(r.buf) {
+		return fmt.Errorf("rl: replay state capacity %d, ring has %d", h.Cap, len(r.buf))
 	}
-	if err := binary.Read(rd, le, &next64); err != nil {
-		return err
+	if int(h.Next) >= len(r.buf) || h.Full > 1 {
+		return fmt.Errorf("rl: implausible replay state (next=%d full=%d)", h.Next, h.Full)
 	}
-	if err := binary.Read(rd, le, &full64); err != nil {
-		return err
-	}
-	if int(next64) >= len(r.buf) || full64 > 1 {
-		return fmt.Errorf("rl: implausible replay state (next=%d full=%d)", next64, full64)
-	}
-	r.next, r.full = int(next64), full64 == 1
-	readVec := func(dst *[]float64) error {
+	r.next, r.full = int(h.Next), h.Full == 1
+	for i := range r.buf {
+		t := &r.buf[i]
 		var n uint64
 		if err := binary.Read(rd, le, &n); err != nil {
 			return err
@@ -133,29 +121,19 @@ func (r *Replay) loadState(rd io.Reader) error {
 		if n > 1<<24 {
 			return fmt.Errorf("rl: implausible transition vector length %d", n)
 		}
-		if uint64(cap(*dst)) >= n {
-			*dst = (*dst)[:n]
+		if uint64(cap(t.State)) >= n {
+			t.State = t.State[:n]
 		} else {
-			*dst = make([]float64, n)
+			t.State = make([]float64, n)
 		}
-		return binary.Read(rd, le, *dst)
-	}
-	for i := range r.buf {
-		t := &r.buf[i]
-		if err := readVec(&t.State); err != nil {
+		if err := binary.Read(rd, le, t.State); err != nil {
 			return err
 		}
-		var action int64
-		if err := binary.Read(rd, le, &action); err != nil {
+		var tail slotTail
+		if err := binary.Read(rd, le, &tail); err != nil {
 			return err
 		}
-		t.Action = int(action)
-		if err := binary.Read(rd, le, &t.Reward); err != nil {
-			return err
-		}
-		if err := readVec(&t.NextState); err != nil {
-			return err
-		}
+		t.Action, t.Reward = int(tail.Action), tail.Reward
 	}
 	return nil
 }

@@ -185,9 +185,9 @@ func trainCfg() (cache.Config, TrainOptions) {
 	cc := cache.Config{Sets: 2, Ways: 4, LineSize: 64}
 	opts := TrainOptions{
 		Agent: AgentConfig{
-			Hidden: 24, Epsilon: 0.1, Gamma: 0, LearningRate: 3e-3,
+			Hidden: 24, Epsilon: 0.1, LearningRate: 3e-3,
 			BatchSize: 16, ReplayCap: 2048, MinReplay: 64,
-			TrainEvery: 2, TargetSync: 256, Seed: 7, Features: AllFeatures(),
+			TrainEvery: 2, Seed: 7, Features: AllFeatures(),
 		},
 		Epochs: 6,
 	}
@@ -264,7 +264,7 @@ func TestRewardSignals(t *testing.T) {
 	oracle := policy.NewOracle(accesses, 64)
 	agent := NewAgent(AgentConfig{
 		Hidden: 8, BatchSize: 4, ReplayCap: 16, MinReplay: 100,
-		TrainEvery: 1, TargetSync: 100, Features: AllFeatures(),
+		TrainEvery: 1, Features: AllFeatures(),
 	})
 	agent.SetOracle(oracle)
 	agent.Init(policy.Config{Config: cc, NumCores: 1})
@@ -305,7 +305,7 @@ func TestRewardNeutral(t *testing.T) {
 	oracle := policy.NewOracle(accesses, 64)
 	agent := NewAgent(AgentConfig{
 		Hidden: 8, BatchSize: 4, ReplayCap: 16, MinReplay: 100,
-		TrainEvery: 1, TargetSync: 100, Features: AllFeatures(),
+		TrainEvery: 1, Features: AllFeatures(),
 	})
 	agent.SetOracle(oracle)
 	agent.Init(policy.Config{Config: cc, NumCores: 1})

@@ -8,45 +8,44 @@ import (
 	"repro/internal/nn"
 )
 
+// agentHead is the fixed-size head of a saved agent. binary.Write encodes
+// its fields in declaration order, little-endian, with no padding.
+type agentHead struct {
+	RNG           [4]uint64
+	Decisions     uint64
+	Pending       uint64 // 1 when a decision is waiting to enter the ring
+	PendingAction int64
+	PendingReward float64
+	StateLen      uint64 // length of the pending state that follows
+}
+
 // saveState serializes everything that makes the agent's future behaviour:
 // RNG state, decision counter, the pending (not yet stored) transition, the
-// online and target networks with their full optimizer state, and the
-// replay ring. Scratch buffers (state/target/batch) are excluded — they are
-// overwritten before every read.
+// network with its full optimizer state, and the replay ring. Scratch
+// buffers (state/batch) are excluded — they are overwritten before every
+// read.
 func (a *Agent) saveState(w io.Writer) error {
-	le := binary.LittleEndian
-	if err := binary.Write(w, le, a.rng.State()); err != nil {
-		return err
+	if a.q == nil {
+		return fmt.Errorf("rl: cannot snapshot an agent before Init")
 	}
-	if err := binary.Write(w, le, a.decisions); err != nil {
-		return err
+	h := agentHead{
+		RNG:           a.rng.State(),
+		Decisions:     a.decisions,
+		PendingAction: int64(a.pendingAction),
+		PendingReward: a.pendingReward,
+		StateLen:      uint64(len(a.pendingState)),
 	}
-	pending := uint64(0)
 	if a.pendingValid {
-		pending = 1
+		h.Pending = 1
 	}
-	if err := binary.Write(w, le, pending); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, int64(a.pendingAction)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, a.pendingReward); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, uint64(len(a.pendingState))); err != nil {
+	le := binary.LittleEndian
+	if err := binary.Write(w, le, &h); err != nil {
 		return err
 	}
 	if err := binary.Write(w, le, a.pendingState); err != nil {
 		return err
 	}
-	if a.q == nil || a.tgt == nil {
-		return fmt.Errorf("rl: cannot snapshot an agent before Init")
-	}
 	if err := a.q.SaveFull(w); err != nil {
-		return err
-	}
-	if err := a.tgt.SaveFull(w); err != nil {
 		return err
 	}
 	return a.replay.saveState(w)
@@ -54,53 +53,33 @@ func (a *Agent) saveState(w io.Writer) error {
 
 // loadState restores state saved with saveState. The agent must have been
 // constructed with the same AgentConfig; if it has already been Init-ed
-// the loaded networks must match the geometry's vector and way widths.
+// the loaded network must match the geometry's vector and way widths.
 func (a *Agent) loadState(r io.Reader) error {
 	le := binary.LittleEndian
-	var rngState [4]uint64
-	if err := binary.Read(r, le, &rngState); err != nil {
+	var h agentHead
+	if err := binary.Read(r, le, &h); err != nil {
 		return err
 	}
-	a.rng.SetState(rngState)
-	if err := binary.Read(r, le, &a.decisions); err != nil {
-		return err
+	if h.Pending > 1 {
+		return fmt.Errorf("rl: implausible pending flag %d", h.Pending)
 	}
-	var pending uint64
-	if err := binary.Read(r, le, &pending); err != nil {
-		return err
+	if h.StateLen > 1<<24 {
+		return fmt.Errorf("rl: implausible pending-state length %d", h.StateLen)
 	}
-	if pending > 1 {
-		return fmt.Errorf("rl: implausible pending flag %d", pending)
-	}
-	a.pendingValid = pending == 1
-	var action int64
-	if err := binary.Read(r, le, &action); err != nil {
-		return err
-	}
-	a.pendingAction = int(action)
-	if err := binary.Read(r, le, &a.pendingReward); err != nil {
-		return err
-	}
-	var psLen uint64
-	if err := binary.Read(r, le, &psLen); err != nil {
-		return err
-	}
-	if psLen > 1<<24 {
-		return fmt.Errorf("rl: implausible pending-state length %d", psLen)
-	}
-	if a.pendingState == nil || uint64(len(a.pendingState)) != psLen {
-		a.pendingState = make([]float64, psLen)
+	a.rng.SetState(h.RNG)
+	a.decisions = h.Decisions
+	a.pendingValid = h.Pending == 1
+	a.pendingAction = int(h.PendingAction)
+	a.pendingReward = h.PendingReward
+	if uint64(len(a.pendingState)) != h.StateLen {
+		a.pendingState = make([]float64, h.StateLen)
 	}
 	if err := binary.Read(r, le, a.pendingState); err != nil {
 		return err
 	}
 	q, err := nn.LoadFull(r)
 	if err != nil {
-		return fmt.Errorf("rl: loading online network: %w", err)
-	}
-	tgt, err := nn.LoadFull(r)
-	if err != nil {
-		return fmt.Errorf("rl: loading target network: %w", err)
+		return fmt.Errorf("rl: loading network: %w", err)
 	}
 	if a.feat != nil {
 		if q.InputSize() != a.feat.VectorSize() || q.OutputSize() != a.pcfg.Ways {
@@ -108,9 +87,6 @@ func (a *Agent) loadState(r io.Reader) error {
 				q.InputSize(), q.OutputSize(), a.feat.VectorSize(), a.pcfg.Ways)
 		}
 	}
-	if q.InputSize() != tgt.InputSize() || q.OutputSize() != tgt.OutputSize() {
-		return fmt.Errorf("rl: snapshot online and target networks disagree on shape")
-	}
-	a.q, a.tgt = q, tgt
+	a.q = q
 	return a.replay.loadState(r)
 }

@@ -27,8 +27,8 @@ func DefaultTrainOptions() TrainOptions {
 // between any two steps and, after being killed, resume from the snapshot
 // with byte-identical results to an uninterrupted run.
 //
-// The snapshot (SaveState/LoadState) covers the agent's networks with
-// their optimizer moments, the replay ring, the RNG, the pending
+// The snapshot (SaveState/LoadState) covers the agent's network with its
+// optimizer moments, the replay ring, the RNG, the pending
 // transition, and the in-flight simulator (cache contents, statistics,
 // and access-preuse history) plus the epoch/trace cursor. The oracle's
 // replay cursor is not stored: it is a pure function of the trace position
@@ -59,7 +59,7 @@ type EpochStats struct {
 	MeanReward float64 // mean per-decision reward
 	Epsilon    float64 // exploration rate in effect
 	HitRate    float64 // the epoch simulator's hit percentage
-	WeightNorm float64 // L2 norm of the online network after the epoch
+	WeightNorm float64 // L2 norm of the network after the epoch
 	Decisions  uint64  // training decisions in the epoch
 	Batches    uint64  // minibatch updates in the epoch
 }
@@ -163,24 +163,18 @@ func (t *Trainer) Finish() *Agent {
 	return t.agent
 }
 
+// trainerHead is the fixed-size head of a saved run. binary.Write encodes
+// its fields in declaration order, little-endian, with no padding.
+type trainerHead struct{ TraceLen, Epoch, Cursor, HasSim uint64 }
+
 // SaveState serializes the run's complete resume state. It must be called
 // between steps (never concurrently with Step).
 func (t *Trainer) SaveState(w io.Writer) error {
-	le := binary.LittleEndian
-	if err := binary.Write(w, le, uint64(len(t.accesses))); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, uint64(t.epoch)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, uint64(t.cursor)); err != nil {
-		return err
-	}
-	hasSim := uint64(0)
+	h := trainerHead{TraceLen: uint64(len(t.accesses)), Epoch: uint64(t.epoch), Cursor: uint64(t.cursor)}
 	if t.sim != nil {
-		hasSim = 1
+		h.HasSim = 1
 	}
-	if err := binary.Write(w, le, hasSim); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, &h); err != nil {
 		return err
 	}
 	if err := t.agent.saveState(w); err != nil {
@@ -198,28 +192,18 @@ func (t *Trainer) SaveState(w io.Writer) error {
 // run fingerprint). Afterwards the trainer continues exactly where the
 // snapshot was taken.
 func (t *Trainer) LoadState(r io.Reader) error {
-	le := binary.LittleEndian
-	var traceLen, epoch64, cursor64, hasSim uint64
-	if err := binary.Read(r, le, &traceLen); err != nil {
+	var h trainerHead
+	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
 		return err
 	}
-	if int(traceLen) != len(t.accesses) {
-		return fmt.Errorf("rl: snapshot is for a %d-access trace, trainer has %d", traceLen, len(t.accesses))
+	if int(h.TraceLen) != len(t.accesses) {
+		return fmt.Errorf("rl: snapshot is for a %d-access trace, trainer has %d", h.TraceLen, len(t.accesses))
 	}
-	if err := binary.Read(r, le, &epoch64); err != nil {
-		return err
-	}
-	if err := binary.Read(r, le, &cursor64); err != nil {
-		return err
-	}
-	if err := binary.Read(r, le, &hasSim); err != nil {
-		return err
-	}
-	if int(epoch64) > t.epochs || int(cursor64) >= max(len(t.accesses), 1) || hasSim > 1 {
+	if int(h.Epoch) > t.epochs || int(h.Cursor) >= max(len(t.accesses), 1) || h.HasSim > 1 {
 		return fmt.Errorf("rl: implausible snapshot position (epoch=%d cursor=%d hasSim=%d)",
-			epoch64, cursor64, hasSim)
+			h.Epoch, h.Cursor, h.HasSim)
 	}
-	if hasSim == 1 {
+	if h.HasSim == 1 {
 		// Build the epoch's simulator first: its Init re-derives the
 		// featurizer and scratch buffers, and the state loads below then
 		// overwrite everything Init reset.
@@ -236,9 +220,9 @@ func (t *Trainer) LoadState(r io.Reader) error {
 		}
 		t.agent.SetSim(t.sim)
 		// The oracle cursor is a function of trace position; re-derive it.
-		t.oracle.SeekReplay(cursor64)
+		t.oracle.SeekReplay(h.Cursor)
 	}
-	t.epoch, t.cursor = int(epoch64), int(cursor64)
+	t.epoch, t.cursor = int(h.Epoch), int(h.Cursor)
 	return nil
 }
 
@@ -263,7 +247,7 @@ func Evaluate(cfg cache.Config, agent *Agent, accesses []trace.Access) cachesim.
 }
 
 // EvaluateInt8 replays accesses under the agent's frozen int8 policy: the
-// online network is quantized once, every Victim decision is scored by
+// network is quantized once, every Victim decision is scored by
 // the integer kernels, and the float net is untouched. The int8 copy is
 // dropped afterwards. Use behind the experiments accuracy gate.
 func EvaluateInt8(cfg cache.Config, agent *Agent, accesses []trace.Access) cachesim.Stats {

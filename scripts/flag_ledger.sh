@@ -96,7 +96,6 @@ check:-seeds README "Correctness harness": more seeds per cell
 check:-v README "Correctness harness": print every cell as it runs
 check:-replay README "Correctness harness": re-runs the counterexample that a divergence prints
 experiments:-list README "Install & quickstart"
-experiments:-chart DESIGN.md "Additional systems": internal/viz charts of the tables and the Figure 3 heat map
 experiments:-cpuprofile README "Hot-path performance & profiling"
 experiments:-memprofile README "Hot-path performance & profiling"
 experiments:-obs-* README "Observability": event sink and live endpoint of a suite run

@@ -9,6 +9,8 @@
 # Then runs the experiments CLI twice: a traced quick fig1 grid on the
 # worker pool with -keep-going and -timeout, whose event trace must
 # validate too, and the tab1 table as CSV, whose header line is checked.
+# Last, the quick fig3 run with -chart must print the Figure 3 heat map's
+# last feature row.
 set -eu
 
 WORKLOAD=429.mcf
@@ -54,6 +56,13 @@ echo "obs-smoke: experiment table as CSV (tab1)..."
 header=$(sed -n '/^# tab1$/{n;p;q;}' "$dir/tab1.csv")
 if [ "$header" != "$TAB1_HEADER" ]; then
     echo "obs-smoke: FAIL — tab1 CSV header is '$header', want '$TAB1_HEADER'" >&2
+    exit 1
+fi
+
+echo "obs-smoke: Figure 3 heat map (fig3, quick scale, -chart)..."
+"$dir/experiments" -run fig3 -scale quick -chart > "$dir/fig3.txt"
+if ! grep -q '^line recency ' "$dir/fig3.txt"; then
+    echo "obs-smoke: FAIL — fig3 -chart output has no 'line recency' heat-map row" >&2
     exit 1
 fi
 

@@ -158,8 +158,6 @@ internal/policy/traced.go:* rlrsim -obs-trace: victim decisions on the event str
 internal/profiling/profiling.go:AttachPprof the -obs-addr endpoint's /debug/pprof
 internal/refmodel/diff.go:* cmd/check counterexample path, reached only on a divergence
 internal/refmodel/refmodel.go:*.Name reference-model label in divergence reports
-internal/rl/agent.go:Agent.trainStepScalar reference training step for TestBatchedTrainByteIdentical, selected by the scalarTrain test hook
-internal/rl/agent.go:maxOf bootstrap target when AgentConfig.Gamma > 0 (the default is 0; only tests set it)
 internal/rl/replay.go:Replay.saveState checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/rl/state.go:Agent.saveState checkpoint write (see cmd/rltrain saveCheckpoint)
 internal/rl/trainer.go:Trainer.SaveState checkpoint write (see cmd/rltrain saveCheckpoint)
@@ -179,7 +177,6 @@ internal/trace/chunked.go:Codec.String codec name in error text (fmt.Stringer)
 internal/trace/chunked.go:corruptf error path for a corrupt container
 internal/uarch/prefetch.go:* Prefetcher method: a name label, or the confidence only KPC-P's fill gating reads
 internal/uarch/system.go:* in-memory instruction source the uarch unit and golden-digest tests replay; left in place on purpose
-internal/viz/viz.go:HeatMap cmd/experiments -chart for fig3
 internal/workloads/workloads.go:Suite.String suite name (fmt.Stringer)
 internal/workloads/workloads.go:generator.* Generator interface methods
 internal/xrand/xrand.go:Rand.State checkpoint write (see cmd/rltrain saveCheckpoint)
