@@ -1,7 +1,8 @@
 // bench_hotpath_test.go measures the simulator's per-access hot path:
-// oracle next-use queries, one simulator step, and end-to-end trace
-// replays under the chain-driven Belady, under RLR and under Hawkeye. The agent
-// network's rows live in internal/nn/hotpath_test.go. Run
+// oracle next-use queries, one simulator step, end-to-end trace replays
+// under the chain-driven Belady, under RLR and under Hawkeye, and one
+// timing-model run. The agent network's rows live in
+// internal/nn/hotpath_test.go. Run
 //
 //	go test -run '^$' -bench Hotpath -benchmem . ./internal/nn
 //
@@ -18,6 +19,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/trace"
+	"repro/internal/uarch"
+	"repro/internal/workloads"
 	"repro/internal/xrand"
 )
 
@@ -118,12 +121,42 @@ func BenchmarkHotpathRLRReplay(b *testing.B) {
 
 // BenchmarkHotpathHawkeyeReplay replays the whole trace under Hawkeye, the
 // paper's cost baseline: OPTgen runs on every access to a sampled set, and
-// Init builds the predictor, the per-line state and the samplers.
+// Init builds the predictor, the per-line state and the samplers. It runs
+// at perfbench llc-zoo's 256×16 geometry, where 64 of 256 sets are
+// sampled (a quarter of the sets, as in an llc-zoo Hawkeye item).
 func BenchmarkHotpathHawkeyeReplay(b *testing.B) {
-	cfg, accesses, _ := hotpathSetup()
+	_, accesses, _ := hotpathSetup()
+	cfg := cache.Config{Sets: 256, Ways: 16, LineSize: 64}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cachesim.RunPolicy(cfg, policy.NewHawkeye(), accesses)
 	}
+}
+
+// uarchRunInstr is the instruction count of one perfbench ipc-timing item.
+const uarchRunInstr = 32_000
+
+// BenchmarkHotpathUarchRun runs the timing model as one single-core
+// ipc-timing item does: RunSingle on a fresh system at ScaledConfig(1, 8)
+// over 32,000 instructions, a quarter of them warm-up, here under LRU and
+// replaying pre-generated 429.mcf instructions so the workload generator
+// stays out of the row. It reports ns per simulated instruction.
+func BenchmarkHotpathUarchRun(b *testing.B) {
+	spec, err := workloads.ByName("429.mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := workloads.New(spec)
+	ins := make([]trace.Instr, uarchRunInstr)
+	for i := range ins {
+		ins[i] = gen.Next()
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys := uarch.NewSystem(uarch.ScaledConfig(1, 8), policy.MustNew("lru"))
+		sys.RunSingle(uarch.NewSliceSource(ins), uarchRunInstr/4, uarchRunInstr-uarchRunInstr/4)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*uarchRunInstr), "ns/instr")
 }

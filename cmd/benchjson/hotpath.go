@@ -20,9 +20,10 @@ import (
 // read on stdin into BENCH_hotpath.json: the per-access inner loops
 // (oracle query, simulator step, NN forward/backward, and the agent's
 // batch-of-one forward on an agent-shaped input at hidden widths 175 and
-// 24), the end-to-end chain-driven Belady replay, and the RLR and Hawkeye
+// 24), the end-to-end chain-driven Belady replay, the RLR and Hawkeye
 // replays (micro rows rlr_replay and hawkeye_replay, ns per whole
-// replay). Every figure is the median
+// replay), and one ipc-timing-sized timing-model run (uarch_run, ns per
+// simulated instruction). Every figure is the median
 // of its runs, and the speedup ratios are ratios of medians.
 
 type hotpathMicro struct {
@@ -47,12 +48,13 @@ type hotpathReport struct {
 
 // hotpathRows lists the micro rows in file order, each with its benchmark
 // and the unit its ns_per_op is read from: the batched rows report time
-// per sample, not per call.
+// per sample and uarch_run per instruction, not per call.
 var hotpathRows = []struct{ name, bench, unit string }{
 	{"oracle_nextuse_chain", "HotpathOracleNextUseChain", "ns/op"},
 	{"simulator_step", "HotpathSimulatorStep", "ns/op"},
 	{"rlr_replay", "HotpathRLRReplay", "ns/op"},
 	{"hawkeye_replay", "HotpathHawkeyeReplay", "ns/op"},
+	{"uarch_run", "HotpathUarchRun", "ns/instr"},
 	{"mlp_forward", "HotpathMLPForward", "ns/op"},
 	{"mlp_backward", "HotpathMLPBackward", "ns/op"},
 	{"mlp_forward_ref", "HotpathMLPForwardRef", "ns/op"},

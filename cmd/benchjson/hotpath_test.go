@@ -31,13 +31,14 @@ func TestConvertHotpath(t *testing.T) {
 	if rep.ChainMS != 19 || rep.ChainNsPerAccess != 95 {
 		t.Errorf("chain %v ms, %v ns/access; want 19, 95", rep.ChainMS, rep.ChainNsPerAccess)
 	}
-	// The batched rows read ns/sample, the others ns/op. mlp_backward's
-	// allocs/op runs are 14, 0, 0.
+	// The batched rows read ns/sample, uarch_run ns/instr, the others
+	// ns/op. mlp_backward's allocs/op runs are 14, 0, 0.
 	want := []hotpathMicro{
 		{"oracle_nextuse_chain", 120, 0},
 		{"simulator_step", 115, 0},
 		{"rlr_replay", 22000000, 1031},
 		{"hawkeye_replay", 26000000, 120},
+		{"uarch_run", 200, 293},
 		{"mlp_forward", 15000, 0},
 		{"mlp_backward", 39000, 0},
 		{"mlp_forward_ref", 100000, 0},

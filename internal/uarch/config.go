@@ -23,6 +23,13 @@ type Config struct {
 	IssueWidth int // instructions per cycle (3)
 	ROBSize    int // reorder-buffer entries (256)
 
+	// The private levels (L1I, L1D, L2) are true LRU caches, as in Table
+	// III, kept in a tag directory that holds one 4-bit way id per way in a
+	// 64-bit recency stack: each needs at most 16 ways and 64-byte lines.
+	// Only the LLC runs the replacement policy and keeps the Table II line
+	// features; it may have any associativity cache.Config allows, but its
+	// lines must be 64 bytes too, since every level's in-flight table keys
+	// blocks by addr>>6. NewHierarchy panics on any other geometry.
 	L1I        cache.Config
 	L1ILatency uint64
 	L1D        cache.Config

@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/policy"
 	"repro/internal/trace"
@@ -10,16 +12,16 @@ import (
 // trace-generation path (§III-A) and the experiment stats both hang off it.
 type LLCObserver func(a trace.Access, hit bool)
 
-// level is one private cache level (L1I, L1D, or L2) with LRU replacement
-// (Table III) and an MSHR-style in-flight timing table.
+// level is one private cache level (L1I, L1D, or L2) with true LRU
+// replacement (Table III) and an MSHR-style in-flight timing table.
 type level struct {
-	c       *cache.Cache
+	dir     lruDir
 	latency uint64
 	mshr    mshrTable
 }
 
 func newLevel(cfg cache.Config, latency uint64, mshrs int) *level {
-	return &level{c: cache.New(cfg), latency: latency, mshr: newMSHRTable(mshrs)}
+	return &level{dir: newLRUDir(cfg), latency: latency, mshr: newMSHRTable(mshrs)}
 }
 
 // mshrTable maps an in-flight block to its ready time. Entries sit in an
@@ -174,23 +176,39 @@ type LLCStats struct {
 // Hierarchy is the full Table III memory system: per-core L1I/L1D/L2 over a
 // shared LLC whose replacement policy is pluggable.
 type Hierarchy struct {
-	cfg    Config
-	l1i    []*level
-	l1d    []*level
-	l2     []*level
-	l2pf   []Prefetcher
-	kpcp   []*KPCP // non-nil when the L2 prefetcher is KPC-P
-	llc    *level
-	pol    policy.Policy
-	llcSeq uint64
+	cfg     Config
+	l1i     []*level
+	l1d     []*level
+	l2      []*level
+	l2pf    []Prefetcher
+	kpcp    []*KPCP // non-nil when the L2 prefetcher is KPC-P
+	llc     *cache.Cache
+	pol     policy.Policy
+	llcSeq  uint64
+	llcMSHR mshrTable
 
 	observer LLCObserver
 	stats    LLCStats
 }
 
 // NewHierarchy builds the memory system. The policy is Init-ed against the
-// LLC geometry. pol may be nil, which selects LRU.
+// LLC geometry. pol may be nil, which selects LRU. It panics when a
+// private level is not a valid cache geometry with at most 16 ways of
+// 64-byte lines, or when the LLC's lines are not 64 bytes: the in-flight
+// tables and writebacks key every level by addr>>6.
 func NewHierarchy(cfg Config, pol policy.Policy) *Hierarchy {
+	for _, l := range []struct {
+		name string
+		cfg  cache.Config
+	}{{"L1I", cfg.L1I}, {"L1D", cfg.L1D}, {"L2", cfg.L2}, {"LLC", cfg.LLC}} {
+		if err := l.cfg.Validate(); err != nil {
+			panic(fmt.Sprintf("uarch: %s: %v", l.name, err))
+		}
+		if l.cfg.LineSize != 64 || (l.name != "LLC" && l.cfg.Ways > 16) {
+			panic(fmt.Sprintf("uarch: %s has %d ways of %d-byte lines; every level needs 64-byte lines, and a private level at most 16 ways",
+				l.name, l.cfg.Ways, l.cfg.LineSize))
+		}
+	}
 	if pol == nil {
 		pol = policy.MustNew("lru")
 	}
@@ -207,7 +225,8 @@ func NewHierarchy(cfg Config, pol policy.Policy) *Hierarchy {
 			h.kpcp = append(h.kpcp, nil)
 		}
 	}
-	h.llc = newLevel(cfg.LLC, cfg.LLCLatency, cfg.MSHRs*cfg.Cores)
+	h.llc = cache.New(cfg.LLC)
+	h.llcMSHR = newMSHRTable(cfg.MSHRs * cfg.Cores)
 	pol.Init(policy.Config{Config: cfg.LLC, NumCores: cfg.Cores})
 	return h
 }
@@ -226,9 +245,9 @@ func (h *Hierarchy) accessLLC(core int, pc, addr uint64, ty trace.AccessType, no
 	ctx := policy.AccessCtx{Access: a, Seq: h.llcSeq}
 	h.llcSeq++
 
-	setIdx, way, hit := h.llc.c.Probe(addr)
+	setIdx, way, hit := h.llc.Probe(addr)
 	ctx.SetIdx = setIdx
-	set := h.llc.c.Set(setIdx)
+	set := h.llc.Set(setIdx)
 
 	h.stats.Accesses++
 	h.stats.ByType[ty]++
@@ -242,40 +261,40 @@ func (h *Hierarchy) accessLLC(core int, pc, addr uint64, ty trace.AccessType, no
 		if ty.IsDemand() {
 			h.stats.DemandHits++
 		}
-		h.llc.c.RecordHit(setIdx, way, a)
+		h.llc.RecordHit(setIdx, way, a)
 		h.pol.Update(ctx, set, way, true)
-		return now + h.llc.latency
+		return now + h.cfg.LLCLatency
 	}
 	if ty != trace.Writeback {
 		// Merged miss: the block is already being fetched. The access
 		// counts (and the observer has fired), but it must not re-drive
 		// the replacement policy or re-count the demand miss — one
 		// outstanding fetch performs exactly one fill.
-		if ready, ok := h.llc.mshr.lookup(addr, now); ok {
+		if ready, ok := h.llcMSHR.lookup(addr, now); ok {
 			return ready
 		}
 	}
 	if ty.IsDemand() {
 		h.stats.DemandMisses++
 	}
-	h.llc.c.RecordMissTouch(setIdx)
+	h.llc.RecordMissTouch(setIdx)
 
-	done := now + h.llc.latency
+	done := now + h.cfg.LLCLatency
 	if ty != trace.Writeback {
 		// Fetch from memory (writeback misses allocate without a read:
 		// the evicted L2 line carries the full data).
-		done = now + h.llc.latency + h.cfg.DRAMLatency
-		h.llc.mshr.insert(addr, now, done)
+		done = now + h.cfg.LLCLatency + h.cfg.DRAMLatency
+		h.llcMSHR.insert(addr, now, done)
 	}
 
-	way = h.llc.c.InvalidWay(setIdx)
+	way = h.llc.InvalidWay(setIdx)
 	if way < 0 {
 		way = h.pol.Victim(ctx, set)
 	}
 	if way == policy.Bypass {
 		return done
 	}
-	h.llc.c.Fill(setIdx, way, a)
+	h.llc.Fill(setIdx, way, a)
 	h.pol.Update(ctx, set, way, false)
 	return done
 }
@@ -284,7 +303,7 @@ func (h *Hierarchy) accessLLC(core int, pc, addr uint64, ty trace.AccessType, no
 // prefetch escalation, returning the completion time.
 func (h *Hierarchy) accessL2(core int, pc, addr uint64, ty trace.AccessType, now uint64) uint64 {
 	l2 := h.l2[core]
-	setIdx, way, hit := l2.c.Probe(addr)
+	setIdx, way, hit := l2.dir.probe(addr)
 
 	// Train the L2 prefetcher on demand traffic and issue its prefetches.
 	if ty.IsDemand() {
@@ -294,8 +313,7 @@ func (h *Hierarchy) accessL2(core int, pc, addr uint64, ty trace.AccessType, now
 	}
 
 	if hit {
-		a := trace.Access{PC: pc, Addr: addr, Type: ty, Core: uint8(core)}
-		l2.c.RecordHit(setIdx, way, a)
+		l2.dir.promote(setIdx, way, ty)
 		return now + l2.latency
 	}
 
@@ -306,27 +324,18 @@ func (h *Hierarchy) accessL2(core int, pc, addr uint64, ty trace.AccessType, now
 		done = h.accessLLC(core, pc, addr, ty, now+l2.latency)
 		l2.mshr.insert(addr, now, done)
 	}
-	h.fillLevel(core, l2, addr, pc, ty)
+	h.fillLevel(core, l2, addr, ty)
 	return done
 }
 
 // fillLevel installs addr into the level (LRU victim) and cascades a dirty
 // victim as a writeback to the next level down.
-func (h *Hierarchy) fillLevel(core int, l *level, addr, pc uint64, ty trace.AccessType) {
-	a := trace.Access{PC: pc, Addr: addr, Type: ty, Core: uint8(core)}
-	setIdx, _, hit := l.c.Probe(addr)
+func (h *Hierarchy) fillLevel(core int, l *level, addr uint64, ty trace.AccessType) {
+	setIdx, _, hit := l.dir.probe(addr)
 	if hit {
 		return
 	}
-	l.c.RecordMissTouch(setIdx)
-	way := l.c.InvalidWay(setIdx)
-	if way < 0 {
-		way = l.c.Set(setIdx).LRUWay()
-	}
-	victim := &l.c.Set(setIdx).Lines[way]
-	dirty, block := victim.Valid && victim.Dirty, victim.Block
-	l.c.Fill(setIdx, way, a)
-	if dirty {
+	if block, dirty := l.dir.fill(setIdx, addr, ty); dirty {
 		h.writeback(core, l, block)
 	}
 }
@@ -339,11 +348,11 @@ func (h *Hierarchy) writeback(core int, from *level, block uint64) {
 		// L1D victim → L2: hit marks dirty, miss allocates (data is a full
 		// line; no fetch needed), possibly cascading.
 		l2 := h.l2[core]
-		if setIdx, way, hit := l2.c.Probe(addr); hit {
-			l2.c.RecordHit(setIdx, way, trace.Access{Addr: addr, Type: trace.Writeback, Core: uint8(core)})
+		if setIdx, way, hit := l2.dir.probe(addr); hit {
+			l2.dir.promote(setIdx, way, trace.Writeback)
 			return
 		}
-		h.fillLevel(core, l2, addr, 0, trace.Writeback)
+		h.fillLevel(core, l2, addr, trace.Writeback)
 	case h.l2[core]:
 		// L2 victim → LLC writeback access (the WB type the paper's traces
 		// record). Timing is off the critical path.
@@ -355,7 +364,7 @@ func (h *Hierarchy) writeback(core int, from *level, block uint64) {
 // as KPC does): it charges no core latency.
 func (h *Hierarchy) issueL2Prefetch(core int, pc, addr uint64, now uint64) {
 	l2 := h.l2[core]
-	if _, _, hit := l2.c.Probe(addr); hit {
+	if _, _, hit := l2.dir.probe(addr); hit {
 		return
 	}
 	if _, ok := l2.mshr.lookup(addr, now); ok {
@@ -366,7 +375,7 @@ func (h *Hierarchy) issueL2Prefetch(core int, pc, addr uint64, now uint64) {
 	if h.kpcp[core] != nil && !h.kpcp[core].FillL2(addr) {
 		return // KPC-P pollution gate: low confidence stays out of L2
 	}
-	h.fillLevel(core, l2, addr, pc, trace.Prefetch)
+	h.fillLevel(core, l2, addr, trace.Prefetch)
 }
 
 // AccessData performs a data-side access (load or store) from the core,
@@ -377,8 +386,7 @@ func (h *Hierarchy) AccessData(core int, pc, addr uint64, store bool, now uint64
 	if store {
 		ty = trace.RFO
 	}
-	a := trace.Access{PC: pc, Addr: addr, Type: ty, Core: uint8(core)}
-	setIdx, way, hit := l1.c.Probe(addr)
+	setIdx, way, hit := l1.dir.probe(addr)
 
 	if h.cfg.L1NextLine {
 		for _, pa := range (NextLine{}).OnAccess(pc, addr, hit) {
@@ -387,8 +395,8 @@ func (h *Hierarchy) AccessData(core int, pc, addr uint64, store bool, now uint64
 	}
 
 	if hit {
-		// RecordHit marks the line dirty for RFO accesses.
-		l1.c.RecordHit(setIdx, way, a)
+		// promote marks the line dirty for RFO accesses.
+		l1.dir.promote(setIdx, way, ty)
 		return now + l1.latency
 	}
 	var done uint64
@@ -398,7 +406,7 @@ func (h *Hierarchy) AccessData(core int, pc, addr uint64, store bool, now uint64
 		done = h.accessL2(core, pc, addr, ty, now+l1.latency)
 		l1.mshr.insert(addr, now, done)
 	}
-	h.fillLevel(core, l1, addr, pc, ty)
+	h.fillLevel(core, l1, addr, ty)
 	return done
 }
 
@@ -406,7 +414,7 @@ func (h *Hierarchy) AccessData(core int, pc, addr uint64, store bool, now uint64
 // core latency.
 func (h *Hierarchy) issueL1Prefetch(core int, pc, addr uint64, now uint64) {
 	l1 := h.l1d[core]
-	if _, _, hit := l1.c.Probe(addr); hit {
+	if _, _, hit := l1.dir.probe(addr); hit {
 		return
 	}
 	if _, ok := l1.mshr.lookup(addr, now); ok {
@@ -414,16 +422,15 @@ func (h *Hierarchy) issueL1Prefetch(core int, pc, addr uint64, now uint64) {
 	}
 	done := h.accessL2(core, pc, addr, trace.Prefetch, now+l1.latency)
 	l1.mshr.insert(addr, now, done)
-	h.fillLevel(core, l1, addr, pc, trace.Prefetch)
+	h.fillLevel(core, l1, addr, trace.Prefetch)
 }
 
 // AccessInstr performs an instruction-fetch access, returning completion.
 func (h *Hierarchy) AccessInstr(core int, pc uint64, now uint64) uint64 {
 	l1 := h.l1i[core]
-	a := trace.Access{PC: pc, Addr: pc, Type: trace.Load, Core: uint8(core)}
-	setIdx, way, hit := l1.c.Probe(pc)
+	setIdx, way, hit := l1.dir.probe(pc)
 	if hit {
-		l1.c.RecordHit(setIdx, way, a)
+		l1.dir.promote(setIdx, way, trace.Load)
 		return now + l1.latency
 	}
 	var done uint64
@@ -433,6 +440,6 @@ func (h *Hierarchy) AccessInstr(core int, pc uint64, now uint64) uint64 {
 		done = h.accessL2(core, pc, pc, trace.Load, now+l1.latency)
 		l1.mshr.insert(pc, now, done)
 	}
-	h.fillLevel(core, l1, pc, pc, trace.Load)
+	h.fillLevel(core, l1, pc, trace.Load)
 	return done
 }

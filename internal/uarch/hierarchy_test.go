@@ -67,7 +67,7 @@ func TestHitLatencies(t *testing.T) {
 	// Evict from L1 only: fill 9 conflicting blocks (L1 has 64 sets ⇒
 	// stride 64×64 bytes aliases set 0 but not L2's 512 sets… use enough
 	// conflicting blocks for both L1 sets and probe).
-	h.l1d[0].c.Invalidate(addr)
+	h.l1d[0].dir.invalidate(addr)
 	if got := h.AccessData(0, 1, addr, false, start); got != start+cfg.L1DLatency+cfg.L2Latency {
 		t.Errorf("L2 hit latency = %d, want %d", got-start, cfg.L1DLatency+cfg.L2Latency)
 	}
@@ -126,8 +126,8 @@ func TestKPCPPollutionGate(t *testing.T) {
 	}
 	// Find a prefetched block: the next stride targets.
 	pfAddr := base + 5*128
-	_, _, inLLC := h.llc.c.Probe(pfAddr)
-	_, _, inL2 := h.l2[0].c.Probe(pfAddr)
+	_, _, inLLC := h.llc.Probe(pfAddr)
+	_, _, inL2 := h.l2[0].dir.probe(pfAddr)
 	if inLLC && inL2 && !kp.FillL2(pfAddr) {
 		t.Error("low-confidence prefetch installed in L2 despite the gate")
 	}
@@ -151,7 +151,7 @@ func TestLLCMergedMissUpdatesTimingOnly(t *testing.T) {
 	// Two conflicting blocks in set 0 (2 sets, 64B lines: stride 128B) evict A.
 	h.accessLLC(0, 1, 0x80, trace.Load, 1)
 	h.accessLLC(0, 1, 0x100, trace.Load, 2)
-	if _, _, hit := h.llc.c.Probe(a); hit {
+	if _, _, hit := h.llc.Probe(a); hit {
 		t.Fatal("test setup broken: block A still resident after two conflicting fills")
 	}
 	before := h.Stats()
@@ -169,7 +169,7 @@ func TestLLCMergedMissUpdatesTimingOnly(t *testing.T) {
 		t.Errorf("merged miss must still count as an LLC access: %d -> %d",
 			before.Accesses, after.Accesses)
 	}
-	if _, _, hit := h.llc.c.Probe(a); hit {
+	if _, _, hit := h.llc.Probe(a); hit {
 		t.Error("merged miss re-filled the block (policy re-driven for one fetch)")
 	}
 }
@@ -223,7 +223,7 @@ func TestInstrFetchMergeNearReadyStaysSane(t *testing.T) {
 	}
 	// Evict the block from L1I (it filled at miss time) and reset the
 	// core's fetch block so the next step re-fetches.
-	sys.h.l1i[0].c.Invalidate(pc)
+	sys.h.l1i[0].dir.invalidate(pc)
 	c.fetchBlock = ^uint64(0)
 	// Re-issue the fetch 2 cycles before the in-flight entry's ready time:
 	// the merged done-issue gap is below L1ILatency, so the fetch must not

@@ -244,7 +244,7 @@ func TestFirstFetchAtPCZeroPaysPenalty(t *testing.T) {
 	sys := NewSystem(cfg, nil)
 	c := sys.cores[0]
 	c.step(sys.h, 0, trace.Instr{PC: 0, Kind: trace.MemNone})
-	if _, _, hit := sys.h.l1i[0].c.Probe(0); !hit {
+	if _, _, hit := sys.h.l1i[0].dir.probe(0); !hit {
 		t.Error("first instruction at PC 0 never fetched its block into L1I")
 	}
 	// The cold fetch misses to DRAM, so the first retire reflects it.

@@ -7,8 +7,17 @@
 #   3. (implicitly) the resume path itself, which must reject nothing
 #      and converge on the reference bytes.
 #
-# The kill is timed off the first checkpoint write rather than a fixed
-# sleep, so the test is robust to machine speed. If the run happens to
+# The run is two epochs over 40,000 LLC accesses, long enough that the
+# agent trains: a short trace on the 2 MB LLC is nearly all compulsory
+# misses and makes no minibatch update, and the byte comparison would
+# then cover only the untrained network. The smoke fails unless the
+# reference run's first epoch record in its manifest counts batches > 0.
+#
+# The kill is timed off the manifest rather than a fixed sleep, so the
+# test is robust to machine speed: it lands right after the first
+# checkpoint of the second epoch, which follows the first epoch's
+# minibatch updates, so the resume restores a trained network, its Adam
+# moments and a filled replay ring mid-epoch. If the run happens to
 # finish before the kill lands, the resume leg still runs (resuming a
 # completed checkpoint is a no-op) and the byte comparison still gates.
 set -eu
@@ -21,8 +30,16 @@ if ! command -v cmp > /dev/null 2>&1; then
 fi
 
 WORKLOAD=429.mcf
-ACCESSES=20000
-EVERY=1000
+ACCESSES=40000
+EPOCHS=2
+EVERY=10000
+KILL_AT=$((ACCESSES + EVERY)) # the second epoch's first checkpoint
+
+# first_epoch_batches prints the batches count of a manifest's first epoch
+# record (nothing when it has none).
+first_epoch_batches() {
+    grep '"kind":"epoch"' "$1" | head -n 1 | sed -n 's/.*"batches":\([0-9]*\).*/\1/p'
+}
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT INT TERM
@@ -30,24 +47,30 @@ trap 'rm -rf "$dir"' EXIT INT TERM
 echo "crash-smoke: building rltrain..."
 go build -o "$dir/rltrain" ./cmd/rltrain
 
-echo "crash-smoke: reference run ($WORKLOAD, $ACCESSES accesses)..."
-"$dir/rltrain" -workload "$WORKLOAD" -accesses "$ACCESSES" -epochs 1 \
-    -out "$dir/ref.model" > /dev/null
+echo "crash-smoke: reference run ($WORKLOAD, $ACCESSES accesses, $EPOCHS epochs)..."
+"$dir/rltrain" -workload "$WORKLOAD" -accesses "$ACCESSES" -epochs "$EPOCHS" \
+    -manifest "$dir/ref.jsonl" -out "$dir/ref.model" > /dev/null
+batches=$(first_epoch_batches "$dir/ref.jsonl")
+if [ "${batches:-0}" -eq 0 ]; then
+    echo "crash-smoke: FAIL — the first epoch made no minibatch update (batches: ${batches:-none})" >&2
+    exit 1
+fi
+echo "crash-smoke: first epoch trained ($batches minibatch updates)"
 
-echo "crash-smoke: checkpointed run, SIGKILL after first checkpoint..."
-"$dir/rltrain" -workload "$WORKLOAD" -accesses "$ACCESSES" -epochs 1 \
+echo "crash-smoke: checkpointed run, SIGKILL after the checkpoint at step $KILL_AT..."
+"$dir/rltrain" -workload "$WORKLOAD" -accesses "$ACCESSES" -epochs "$EPOCHS" \
     -checkpoint "$dir/run.ckpt" -checkpoint-every "$EVERY" \
-    -out "$dir/res.model" > /dev/null 2>&1 &
+    -manifest "$dir/run.jsonl" -out "$dir/res.model" > /dev/null 2>&1 &
 pid=$!
-# Wait for the first checkpoint (trace capture dominates startup), then
-# give training a moment to get past it and kill without warning.
+# Wait for the manifest to record the checkpoint at KILL_AT (trace capture
+# dominates startup), then kill without warning.
 i=0
-while [ ! -f "$dir/run.ckpt" ] && [ $i -lt 1200 ]; do
+until grep -q "\"kind\":\"checkpoint_save\".*\"steps\":$KILL_AT," "$dir/run.jsonl" 2> /dev/null ||
+    [ $i -ge 1200 ]; do
     kill -0 "$pid" 2> /dev/null || break
     i=$((i + 1))
     sleep 0.05
 done
-sleep 0.2
 kill -9 "$pid" 2> /dev/null || true
 wait "$pid" 2> /dev/null || true
 
@@ -62,7 +85,7 @@ if [ -f "$dir/res.model" ]; then
 fi
 
 echo "crash-smoke: resuming from the checkpoint..."
-"$dir/rltrain" -workload "$WORKLOAD" -accesses "$ACCESSES" -epochs 1 \
+"$dir/rltrain" -workload "$WORKLOAD" -accesses "$ACCESSES" -epochs "$EPOCHS" \
     -checkpoint "$dir/run.ckpt" -resume -out "$dir/res.model" > /dev/null
 
 if ! cmp -s "$dir/ref.model" "$dir/res.model"; then
